@@ -35,7 +35,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Re-exported building blocks. The whole implementation lives under
@@ -54,7 +53,7 @@ type (
 	// fault/recovery instant events on one per-rank timeline. Attach
 	// one via Config.Trace (or ResilientConfig.Trace); export with
 	// WriteChrome (Perfetto), WritePrometheus, or BuildReport.
-	TraceRecorder = trace.Recorder
+	TraceRecorder = obs.Recorder
 	// ObsReport is the machine-readable analysis of a recorded run:
 	// per-stage totals with load-imbalance ratios, the stage x op
 	// communication breakdown, per-rank utilisation, and the critical
@@ -64,7 +63,7 @@ type (
 )
 
 // NewTraceRecorder returns an empty observability recorder.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
+func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder() }
 
 // ValidateChromeTrace decodes a Chrome trace-event JSON stream (as
 // written by TraceRecorder.WriteChrome) and verifies its structural
@@ -226,39 +225,28 @@ type Config struct {
 	Heartbeat *HeartbeatOptions
 }
 
-// abftOptions translates the public knobs into the guard options
-// threaded through every algorithm's plan.
+// abftOptions translates the public knobs into the guard options.
 func (cfg Config) abftOptions() abft.Options {
 	return abft.Options{Enabled: cfg.ABFT, Rel: cfg.ABFTRel}
 }
 
 // StageTimes is the per-rank stage breakdown of one execution, in the
-// vocabulary of the reference implementation's report.
-type StageTimes struct {
-	Redistribute time.Duration // A, B, C user-layout conversion
-	ReplicateAB  time.Duration // allgather/broadcast of inputs + shifts
-	LocalCompute time.Duration
-	ReduceC      time.Duration
-	Total        time.Duration
-	MatmulOnly   time.Duration // Total minus Redistribute
-}
+// vocabulary of the reference implementation's report: Redistribute
+// (A, B, C user-layout conversion), ReplicateAB (allgather/broadcast of
+// inputs plus kernel shifts and panel broadcasts), LocalCompute,
+// ReduceC, Total, and MatmulOnly (Total minus Redistribute).
+type StageTimes = core.StageTimes
 
 // Plan is a reusable multiplication plan: fixed shape, process count,
-// and algorithm. Safe for concurrent use by all ranks and across
-// repeated executions.
+// and algorithm — that algorithm's schedule (grid, groups, native
+// layouts, replication kind, inner kernel) plus the execution options.
+// Safe for concurrent use by all ranks and across repeated executions.
 type Plan struct {
 	M, N, K int
 	Procs   int
 	Cfg     Config
-	exec    executor
-}
-
-// executor adapts the per-algorithm planners.
-type executor interface {
-	execute(c *Comm, aLocal *Matrix, aL Layout, bLocal *Matrix, bL Layout, cL Layout) (*Matrix, StageTimes)
-	native() (a, b, cc Layout)
-	gridDims() (pm, pn, pk int)
-	activeProcs() int
+	sched   *core.Schedule
+	opt     core.Options
 }
 
 // NewPlan builds a plan for C = op(A)·op(B) where op(A) is m x k and
@@ -267,30 +255,37 @@ func NewPlan(m, n, k, p int, cfg Config) (*Plan, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = CA3DMM
 	}
-	var (
-		ex  executor
-		err error
-	)
-	switch cfg.Algorithm {
-	case CA3DMM, CA3DMMSumma:
-		var pl *core.Plan
-		pl, err = core.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB, core.Options{
-			Grid:         cfg.Grid,
-			LowerUtil:    cfg.LowerUtil,
-			DualBuffer:   cfg.DualBuffer,
-			Overlap:      !cfg.NoOverlap,
-			OverlapDepth: cfg.OverlapDepth,
-			MultiShift:   cfg.MultiShift,
-			UseSUMMA:     cfg.Algorithm == CA3DMMSumma,
-			SUMMAPanel:   cfg.SUMMAPanel,
-			MaxPk:        cfg.MaxPk,
+	opt := core.Options{
+		Grid:         cfg.Grid,
+		LowerUtil:    cfg.LowerUtil,
+		DualBuffer:   cfg.DualBuffer,
+		Overlap:      !cfg.NoOverlap,
+		OverlapDepth: cfg.OverlapDepth,
+		MultiShift:   cfg.MultiShift,
+		UseSUMMA:     cfg.Algorithm == CA3DMMSumma || cfg.Algorithm == SUMMA,
+		SUMMAPanel:   cfg.SUMMAPanel,
+		MaxPk:        cfg.MaxPk,
 
-			MemoryLimitBytes: cfg.MemoryLimitBytes,
-			Trace:            cfg.Trace,
-			ABFT:             cfg.abftOptions(),
-		})
-		if err == nil {
-			ex = coreExec{pl}
+		MemoryLimitBytes: cfg.MemoryLimitBytes,
+		Trace:            cfg.Trace,
+		ABFT:             cfg.abftOptions(),
+	}
+	var (
+		sched *core.Schedule
+		err   error
+	)
+	if cfg.Algorithm == SUMMA {
+		// Plain 2D SUMMA is CA3DMM-S on the best pr x pc x 1 grid.
+		opt.Grid = Grid{Pk: 1}
+		if opt.Grid.Pm, opt.Grid.Pn, err = grid.Optimize2D(m, n, k, p); err != nil {
+			return nil, err
+		}
+	}
+	switch cfg.Algorithm {
+	case CA3DMM, CA3DMMSumma, SUMMA:
+		var pl *core.Plan
+		if pl, err = core.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB, opt); err == nil {
+			sched = pl.Schedule
 		}
 	case COSMA:
 		var pl *cosma.Plan
@@ -298,38 +293,27 @@ func NewPlan(m, n, k, p int, cfg Config) (*Plan, error) {
 			Grid: cfg.Grid, LowerUtil: cfg.LowerUtil,
 		})
 		if err == nil {
-			pl.ABFT = cfg.abftOptions()
-			ex = cosmaExec{pl}
+			sched = pl.Schedule
 		}
 	case CARMA:
 		var pl *carma.Plan
-		pl, err = carma.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB)
-		if err == nil {
-			pl.ABFT = cfg.abftOptions()
-			ex = carmaExec{pl}
+		if pl, err = carma.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB); err == nil {
+			sched = pl.Schedule
 		}
 	case C25D:
 		var pl *c25d.Plan
-		pl, err = c25d.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB)
-		if err == nil {
-			pl.ABFT = cfg.abftOptions()
-			ex = c25dExec{pl}
+		if pl, err = c25d.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB); err == nil {
+			sched = pl.Schedule
 		}
-	case SUMMA:
-		ex, err = newSummaExec(m, n, k, p, cfg)
 	case Algo1D:
 		var pl *algo1d.Plan
-		pl, err = algo1d.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB, algo1d.Auto)
-		if err == nil {
-			pl.ABFT = cfg.abftOptions()
-			ex = algo1dExec{pl}
+		if pl, err = algo1d.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB, algo1d.Auto); err == nil {
+			sched = pl.Schedule
 		}
 	case Algo3D:
 		var pl *algo3d.Plan
-		pl, err = algo3d.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB)
-		if err == nil {
-			pl.ABFT = cfg.abftOptions()
-			ex = algo3dExec{pl}
+		if pl, err = algo3d.NewPlan(m, n, k, p, cfg.TransA, cfg.TransB); err == nil {
+			sched = pl.Schedule
 		}
 	default:
 		return nil, fmt.Errorf("ca3dmm: unknown algorithm %q", cfg.Algorithm)
@@ -337,27 +321,29 @@ func NewPlan(m, n, k, p int, cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{M: m, N: n, K: k, Procs: p, Cfg: cfg, exec: ex}, nil
+	return &Plan{M: m, N: n, K: k, Procs: p, Cfg: cfg, sched: sched, opt: opt}, nil
 }
 
 // Execute runs the plan on the calling rank. aLocal/bLocal are the
 // caller's blocks of the stored A and B under aL/bL; the result is the
 // caller's block of C under cL. Collective over c.
 func (p *Plan) Execute(c *Comm, aLocal *Matrix, aL Layout, bLocal *Matrix, bL Layout, cL Layout) (*Matrix, StageTimes) {
-	return p.exec.execute(c, aLocal, aL, bLocal, bL, cL)
+	return p.sched.Execute(c, p.opt, aLocal, aL, bLocal, bL, cL)
 }
 
 // NativeLayouts returns the plan's library-native distributions of
 // op(A), op(B), and C. Feeding Execute these layouts skips the
 // redistribution steps ("matmul only" mode).
-func (p *Plan) NativeLayouts() (a, b, c Layout) { return p.exec.native() }
+func (p *Plan) NativeLayouts() (a, b, c Layout) {
+	return p.sched.ALayout, p.sched.BLayout, p.sched.CLayout
+}
 
 // GridDims returns the process grid (pm, pn, pk); SUMMA reports
 // (pr, pc, 1) and CARMA its bisection-equivalent grid.
-func (p *Plan) GridDims() (pm, pn, pk int) { return p.exec.gridDims() }
+func (p *Plan) GridDims() (pm, pn, pk int) { return p.sched.G.Pm, p.sched.G.Pn, p.sched.G.Pk }
 
 // ActiveProcs returns the number of non-idle ranks.
-func (p *Plan) ActiveProcs() int { return p.exec.activeProcs() }
+func (p *Plan) ActiveProcs() int { return p.sched.ActiveProcs() }
 
 // Multiply is the one-call convenience API: it distributes the stored
 // matrices a (m x k, or k x m when cfg.TransA) and b over p simulated

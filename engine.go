@@ -14,15 +14,16 @@ import (
 
 // This file implements the persistent Engine: a plan, its split
 // communicators, its redistribution routes, and its buffer arena, all
-// built once and reused across multiplications of the same shape. The
-// one-shot Multiply facade is a NewEngine + one MultiplyGlobal + Close,
-// so the engine path and the facade path are literally the same code;
-// iterative callers keep the engine open and pay the setup exactly
-// once.
+// built once and reused across multiplications of the same shape — for
+// every algorithm alike, since all eight run on the one schedule
+// executor (core.ExecState). The one-shot Multiply facade is a
+// NewEngine + one MultiplyGlobal + Close, so the engine path and the
+// facade path are literally the same code; iterative callers keep the
+// engine open and pay the setup exactly once.
 //
 // Concurrency model. NewEngine launches the simulated world
-// (mpi.RunOpt) on a background goroutine; each rank builds its session
-// (communicator splits, route cache, arena) and then blocks on a
+// (mpi.RunOpt) on a background goroutine; each rank builds its executor
+// state (communicator splits, route cache, arena) and then blocks on a
 // per-rank job channel. Multiply is serialized on the driver side: it
 // posts one job to every rank channel, waits for all ranks to finish
 // it, and collects the per-rank outputs. Close closes the channels,
@@ -47,71 +48,11 @@ var ErrEngineClosed = errors.New("ca3dmm: engine closed")
 // so errors.Is(err, mpi.ErrRankFailed) etc. still work.
 var ErrEngineFailed = errors.New("ca3dmm: engine failed")
 
-// sessionStats is the per-rank amortization ledger.
-type sessionStats struct {
+// rankStats is the per-rank amortization ledger.
+type rankStats struct {
 	setupNs                int64
 	routeHits, routeMisses int64
 	arenaHits, arenaMisses int64
-}
-
-// session is the per-rank persistent execution state of one plan.
-type session interface {
-	execute(aLocal *Matrix, aL Layout, bLocal *Matrix, bL Layout, cDst *Matrix, cL Layout) (*Matrix, StageTimes)
-	stats() sessionStats
-}
-
-// coreSession wraps the CA3DMM ExecState: cached split communicators,
-// route cache, and arena.
-type coreSession struct{ st *core.ExecState }
-
-func (s coreSession) execute(aLocal *Matrix, aL Layout, bLocal *Matrix, bL Layout, cDst *Matrix, cL Layout) (*Matrix, StageTimes) {
-	out, tm := s.st.Execute(aLocal, aL, bLocal, bL, cDst, cL)
-	return out, StageTimes{
-		Redistribute: tm.Redistribute,
-		ReplicateAB:  tm.Allgather + tm.CannonComm,
-		LocalCompute: tm.CannonComp,
-		ReduceC:      tm.ReduceScatter,
-		Total:        tm.Total,
-		MatmulOnly:   tm.MatmulOnly(),
-	}
-}
-
-func (s coreSession) stats() sessionStats {
-	rh, rm := s.st.RouteStats()
-	ah, am := s.st.ArenaStats()
-	return sessionStats{
-		setupNs:   s.st.SetupNs(),
-		routeHits: rh, routeMisses: rm,
-		arenaHits: ah, arenaMisses: am,
-	}
-}
-
-// plainSession adapts the non-CA3DMM executors, which rebuild their
-// communicators per call: the engine still amortizes planning and
-// scatter for them, just not the communicator layer.
-type plainSession struct {
-	c  *Comm
-	ex executor
-}
-
-func (s plainSession) execute(aLocal *Matrix, aL Layout, bLocal *Matrix, bL Layout, cDst *Matrix, cL Layout) (*Matrix, StageTimes) {
-	out, st := s.ex.execute(s.c, aLocal, aL, bLocal, bL, cL)
-	if cDst != nil {
-		cDst.CopyFrom(out)
-		return cDst, st
-	}
-	return out, st
-}
-
-func (s plainSession) stats() sessionStats { return sessionStats{} }
-
-// newSession builds the calling rank's persistent state. Collective
-// over c for the CA3DMM algorithms (communicator splits).
-func (p *Plan) newSession(c *Comm) session {
-	if ce, ok := p.exec.(coreExec); ok {
-		return coreSession{ce.p.NewState(c)}
-	}
-	return plainSession{c: c, ex: p.exec}
 }
 
 // engineJob is one multiplication dispatched to all ranks. finish is
@@ -176,7 +117,7 @@ type Engine struct {
 	poison atomic.Pointer[error]
 
 	statsMu sync.Mutex
-	ranks   []sessionStats
+	ranks   []rankStats
 
 	mu     sync.Mutex
 	closed bool
@@ -205,7 +146,7 @@ func newEngineFromPlan(plan *Plan) *Engine {
 		plan:    plan,
 		jobs:    make([]chan *engineJob, p),
 		dead:    make([]atomic.Bool, p),
-		ranks:   make([]sessionStats, p),
+		ranks:   make([]rankStats, p),
 		runDone: make(chan struct{}),
 	}
 	for r := range e.jobs {
@@ -251,14 +192,15 @@ func (e *Engine) rankLoop(c *Comm) {
 		}()
 		panic(rec)
 	}()
-	ses := e.plan.newSession(c)
+	st := core.NewState(c, e.plan.sched, e.plan.opt)
 	for job := range e.jobs[rank] {
 		cur = job
-		out, st := ses.execute(job.aLocs[rank], job.aL, job.bLocs[rank], job.bL, job.cDst(rank), job.cL)
-		job.outs[rank] = out
-		job.times[rank] = st
+		job.outs[rank], job.times[rank] = st.Execute(job.aLocs[rank], job.aL, job.bLocs[rank], job.bL, job.cDst(rank), job.cL)
+		rs := rankStats{setupNs: st.SetupNs()}
+		rs.routeHits, rs.routeMisses = st.RouteStats()
+		rs.arenaHits, rs.arenaMisses = st.ArenaStats()
 		e.statsMu.Lock()
-		e.ranks[rank] = ses.stats()
+		e.ranks[rank] = rs
 		e.statsMu.Unlock()
 		cur = nil
 		job.finish(rank)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 )
 
@@ -25,94 +26,154 @@ func engineEvents(tr *TraceRecorder, prefix string) int {
 	return n
 }
 
-// TestEngineWarmCallsAmortized pins the amortization contract on the
-// default CA3DMM algorithm: after the first Multiply of a shape, later
-// calls build no routes (route-miss count frozen), allocate no new
-// steady-state buffers (arena-miss count frozen), never touch the
-// rank-0 scatter path, and still return bit-identical results.
+// TestEngineWarmCallsAmortized pins the amortization contract on every
+// algorithm — all eight run on the one schedule executor, so all eight
+// get its reuse story: after the first Multiply of a shape, later calls
+// build no routes (route-miss count frozen), allocate no new
+// steady-state buffers (arena-miss count frozen from call 3), never
+// touch the rank-0 scatter path, and return results bit-identical to
+// the first call and to the one-shot facade, with every stage of the
+// executor on the trace.
 func TestEngineWarmCallsAmortized(t *testing.T) {
-	const m, n, k, p = 45, 38, 29, 6
+	const m, n, k = 45, 38, 29
 	a := Random(m, k, 1)
 	b := Random(k, n, 2)
-	want := GemmRef(a, b, false, false)
-
-	tr := NewTraceRecorder()
-	eng, err := NewEngine(m, n, k, p, Config{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	aL := ColBlocks(m, k, p)
-	bL := ColBlocks(k, n, p)
-	cL := ColBlocks(m, n, p)
-	aLocs := ScatterBlocks(a, aL)
-	bLocs := ScatterBlocks(b, bL)
-	// Caller-owned destination blocks: the steady state of an iterative
-	// solver, and the only configuration that can be allocation-flat
-	// (outputs handed to the caller are necessarily fresh buffers).
-	cDsts := make([]*Matrix, p)
-	for r := 0; r < p; r++ {
-		cr, cc := cL.LocalShape(r)
-		cDsts[r] = NewMatrix(cr, cc)
-	}
-	scatterBase := dist.ScatterCalls()
-
-	var first *Matrix
-	var missesAfterCold, arenaAfterWarm int64
-	for call := 1; call <= 4; call++ {
-		outs, _, err := eng.Multiply(aLocs, aL, bLocs, bL, cDsts, cL)
-		if err != nil {
-			t.Fatalf("call %d: %v", call, err)
-		}
-		got := AssembleBlocks(outs, cL)
-		if d := MaxAbsDiff(got, want); d > 1e-10 {
-			t.Fatalf("call %d: wrong result, max diff %g", call, d)
-		}
-		if call == 1 {
-			first = got
-			missesAfterCold = eng.Stats().RouteMisses
-			if missesAfterCold == 0 {
-				t.Fatal("cold call built no routes; the cache is not in the path")
+	for _, alg := range Algorithms() {
+		t.Run(string(alg), func(t *testing.T) {
+			p := 6
+			if alg == CARMA {
+				p = 8 // power-of-two restriction
 			}
-			continue
-		}
-		if !bitIdentical(got, first) {
-			t.Fatalf("call %d differs bitwise from call 1", call)
-		}
-		st := eng.Stats()
-		if st.RouteMisses != missesAfterCold {
-			t.Fatalf("warm call %d built routes: %d misses, want the cold call's %d",
-				call, st.RouteMisses, missesAfterCold)
-		}
-		if st.RouteHits == 0 {
-			t.Fatalf("warm call %d hit no cached routes", call)
-		}
-		// The second call may still grow the arena (the overlap
-		// schedule uses different scratch shapes than the cold one);
-		// from then on the buffer set must be closed.
-		if call == 2 {
-			arenaAfterWarm = st.ArenaMisses
-		} else if st.ArenaMisses != arenaAfterWarm {
-			t.Fatalf("call %d allocated fresh arena buffers: %d misses, want steady-state %d",
-				call, st.ArenaMisses, arenaAfterWarm)
-		}
-	}
+			facade, _, _, err := Multiply(a, b, p, Config{Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := MaxAbsDiff(facade, GemmRef(a, b, false, false)); d > 1e-10 {
+				t.Fatalf("wrong result, max diff %g", d)
+			}
 
-	if got := dist.ScatterCalls(); got != scatterBase {
-		t.Fatalf("engine multiplies ran %d rank-0 scatters, want 0", got-scatterBase)
+			tr := NewTraceRecorder()
+			eng, err := NewEngine(m, n, k, p, Config{Algorithm: alg, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+
+			aL := ColBlocks(m, k, p)
+			bL := ColBlocks(k, n, p)
+			cL := ColBlocks(m, n, p)
+			aLocs := ScatterBlocks(a, aL)
+			bLocs := ScatterBlocks(b, bL)
+			// Caller-owned destination blocks: the steady state of an
+			// iterative solver, and the only configuration that can be
+			// allocation-flat (outputs handed to the caller are
+			// necessarily fresh buffers).
+			cDsts := make([]*Matrix, p)
+			for r := 0; r < p; r++ {
+				cr, cc := cL.LocalShape(r)
+				cDsts[r] = NewMatrix(cr, cc)
+			}
+			scatterBase := dist.ScatterCalls()
+
+			const calls = 5
+			var missesAfterCold, arenaAfterWarm int64
+			for call := 1; call <= calls; call++ {
+				outs, _, err := eng.Multiply(aLocs, aL, bLocs, bL, cDsts, cL)
+				if err != nil {
+					t.Fatalf("call %d: %v", call, err)
+				}
+				if !bitIdentical(AssembleBlocks(outs, cL), facade) {
+					t.Fatalf("call %d differs bitwise from the one-shot facade", call)
+				}
+				st := eng.Stats()
+				if call == 1 {
+					missesAfterCold = st.RouteMisses
+					if missesAfterCold == 0 {
+						t.Fatal("cold call built no routes; the cache is not in the path")
+					}
+					continue
+				}
+				if st.RouteMisses != missesAfterCold {
+					t.Fatalf("warm call %d built routes: %d misses, want the cold call's %d",
+						call, st.RouteMisses, missesAfterCold)
+				}
+				if st.RouteHits == 0 {
+					t.Fatalf("warm call %d hit no cached routes", call)
+				}
+				// The second call may still grow the arena (the overlap
+				// schedule uses different scratch shapes than the cold
+				// one); from then on the buffer set must be closed.
+				if call == 2 {
+					arenaAfterWarm = st.ArenaMisses
+				} else if st.ArenaMisses != arenaAfterWarm {
+					t.Fatalf("call %d allocated fresh arena buffers: %d misses, want steady-state %d",
+						call, st.ArenaMisses, arenaAfterWarm)
+				}
+			}
+
+			if got := dist.ScatterCalls(); got != scatterBase {
+				t.Fatalf("engine multiplies ran %d rank-0 scatters, want 0", got-scatterBase)
+			}
+			// Observability: the warm calls must record route hits and no
+			// plan-cache traffic (the engine plans exactly once, in
+			// NewEngine), and every executor stage must be on the trace.
+			if engineEvents(tr, "redist:route-hit") == 0 {
+				t.Fatal("no redist:route-hit events recorded")
+			}
+			if engineEvents(tr, "plan:") != 0 {
+				t.Fatal("engine multiplies recorded plan events; planning is not amortized")
+			}
+			stages := tr.StageTotals()
+			sched := eng.Plan().sched
+			for _, stage := range []string{"redistribute-in", core.ReplSpan(sched.Repl), sched.Kernel.String(), "reduce-scatter", "redistribute-out"} {
+				if _, ok := stages[stage]; !ok {
+					t.Errorf("stage %q missing from trace (have %v)", stage, stages)
+				}
+			}
+			if st := eng.Stats(); st.Calls != calls || st.SetupNs <= 0 {
+				t.Fatalf("stats: calls=%d setupNs=%d, want %d calls and positive setup", st.Calls, st.SetupNs, calls)
+			}
+		})
 	}
-	// Observability: the warm calls must record route hits and no
-	// plan-cache traffic (the engine plans exactly once, in NewEngine).
-	if engineEvents(tr, "redist:route-hit") == 0 {
-		t.Fatal("no redist:route-hit events recorded")
-	}
-	if engineEvents(tr, "plan:") != 0 {
-		t.Fatal("engine multiplies recorded plan events; planning is not amortized")
-	}
-	st := eng.Stats()
-	if st.Calls != 4 || st.SetupNs <= 0 {
-		t.Fatalf("stats: calls=%d setupNs=%d, want 4 calls and positive setup", st.Calls, st.SetupNs)
+}
+
+// TestResidentWorldMailboxesFlat: a resident executor never splits a
+// communicator after NewState and reuses its collective tags call after
+// call, so the world's mailbox set — which is never garbage-collected —
+// stops growing once the warm path has run. Checked on the rank loop
+// the Engine runs, with a barrier so the count is taken at rest.
+func TestResidentWorldMailboxesFlat(t *testing.T) {
+	const m, n, k = 45, 38, 29
+	a := Random(m, k, 1)
+	b := Random(k, n, 2)
+	for _, alg := range Algorithms() {
+		p := 6
+		if alg == CARMA {
+			p = 8
+		}
+		plan, err := NewPlan(m, n, k, p, Config{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aL, bL, cL := ColBlocks(m, k, p), ColBlocks(k, n, p), ColBlocks(m, n, p)
+		aLocs, bLocs := ScatterBlocks(a, aL), ScatterBlocks(b, bL)
+		boxes := make([]int, 12)
+		if _, err := Run(p, func(c *Comm) {
+			st := core.NewState(c, plan.sched, plan.opt)
+			for call := 1; call <= 11; call++ {
+				st.Execute(aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, nil, cL)
+				c.Barrier()
+				if c.Rank() == 0 {
+					boxes[call] = c.Mailboxes()
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Call 1 is cold; warm call 3 is call 4, warm call 10 call 11.
+		if boxes[4] != boxes[11] {
+			t.Errorf("%s: %d mailboxes after warm call 3, %d after warm call 10 (per call: %v)", alg, boxes[4], boxes[11], boxes[1:])
+		}
 	}
 }
 

@@ -15,13 +15,9 @@
 package algo1d
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/abft"
+	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/mat"
-	"repro/internal/mpi"
+	"repro/internal/grid"
 )
 
 // Variant selects the partitioned dimension.
@@ -60,207 +56,67 @@ func Choose(m, n, k int) Variant {
 	}
 }
 
-// Plan is a 1D multiplication plan.
+// Plan is the schedule of a 1D multiplication — a P x 1 x 1, 1 x P x 1
+// or 1 x 1 x P grid whose one group is the whole world — plus the
+// variant that chose it.
 type Plan struct {
-	M, N, K        int
-	TransA, TransB bool
-	P              int
-	V              Variant
-
-	ALayout, BLayout, CLayout *dist.Explicit
-
-	// ABFT guards the local GEMM steps with Huang–Abraham checksum
-	// protection (verify, correct in place, recompute locally).
-	ABFT abft.Options
-}
-
-// Timings is the per-rank stage breakdown.
-type Timings struct {
-	Redistribute time.Duration
-	Replicate    time.Duration
-	Compute      time.Duration
-	Reduce       time.Duration
-	Total        time.Duration
+	*core.Schedule
+	V Variant
 }
 
 // NewPlan builds a 1D plan. v = Auto selects the cheapest variant.
+// Exactly one copy of each input exists initially; the replicated
+// matrix starts partitioned along the k dimension so the allgather is
+// balanced.
 func NewPlan(m, n, k, p int, transA, transB bool, v Variant) (*Plan, error) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("algo1d: invalid dimensions %dx%dx%d", m, k, n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("algo1d: invalid process count %d", p)
+	if err := core.CheckDims("algo1d", m, n, k, p); err != nil {
+		return nil, err
 	}
 	if v == Auto {
 		v = Choose(m, n, k)
 	}
-	pl := &Plan{M: m, N: n, K: k, P: p, V: v, TransA: transA, TransB: transB}
-	pl.buildLayouts()
-	return pl, nil
-}
-
-// buildLayouts: exactly one copy of each input initially; the
-// replicated matrix starts partitioned along the k dimension so the
-// allgather is balanced.
-func (p *Plan) buildLayouts() {
-	p.ALayout = dist.NewExplicit(p.M, p.K, p.P)
-	p.BLayout = dist.NewExplicit(p.K, p.N, p.P)
-	p.CLayout = dist.NewExplicit(p.M, p.N, p.P)
-	for r := 0; r < p.P; r++ {
-		switch p.V {
-		case SplitM:
-			m0, m1 := dist.BlockRange(p.M, p.P, r)
-			p.ALayout.SetBlock(r, m0, 0, m1-m0, widthIf(p.K, m1-m0))
-			k0, k1 := dist.BlockRange(p.K, p.P, r)
-			p.BLayout.SetBlock(r, k0, 0, k1-k0, widthIf(p.N, k1-k0))
-			p.CLayout.SetBlock(r, m0, 0, m1-m0, widthIf(p.N, m1-m0))
-		case SplitN:
-			k0, k1 := dist.BlockRange(p.K, p.P, r)
-			p.ALayout.SetBlock(r, 0, k0, heightIf(p.M, k1-k0), k1-k0)
-			n0, n1 := dist.BlockRange(p.N, p.P, r)
-			p.BLayout.SetBlock(r, 0, n0, heightIf(p.K, n1-n0), n1-n0)
-			p.CLayout.SetBlock(r, 0, n0, heightIf(p.M, n1-n0), n1-n0)
-		case SplitK:
-			k0, k1 := dist.BlockRange(p.K, p.P, r)
-			p.ALayout.SetBlock(r, 0, k0, heightIf(p.M, k1-k0), k1-k0)
-			p.BLayout.SetBlock(r, k0, 0, k1-k0, widthIf(p.N, k1-k0))
-			// Final C: column-partitioned by the reduce-scatter.
-			n0, n1 := dist.BlockRange(p.N, p.P, r)
-			p.CLayout.SetBlock(r, 0, n0, heightIf(p.M, n1-n0), n1-n0)
-		}
-	}
-}
-
-func widthIf(w, rows int) int {
-	if rows == 0 {
-		return 0
-	}
-	return w
-}
-
-func heightIf(h, cols int) int {
-	if cols == 0 {
-		return 0
-	}
-	return h
-}
-
-// Execute runs the 1D algorithm on the calling rank.
-func (p *Plan) Execute(c *mpi.Comm, aLocal *mat.Dense, aLayout dist.Layout,
-	bLocal *mat.Dense, bLayout dist.Layout, cLayout dist.Layout) (*mat.Dense, *Timings) {
-
-	if c.Size() != p.P {
-		panic(fmt.Sprintf("algo1d: communicator size %d != plan size %d", c.Size(), p.P))
-	}
-	tm := &Timings{}
-	guard := abft.New(p.ABFT, c)
-	defer guard.Finish()
-	t0 := time.Now()
-
-	tr := time.Now()
-	aNat := dist.RedistributeOp(c, aLayout, aLocal, p.ALayout, p.TransA)
-	bNat := dist.RedistributeOp(c, bLayout, bLocal, p.BLayout, p.TransB)
-	tm.Redistribute += time.Since(tr)
-	c.RecordAlloc(int64(8 * (len(aNat.Data) + len(bNat.Data))))
-
-	var cMine *mat.Dense
-	switch p.V {
+	g := grid.Grid{Pm: 1, Pn: 1, Pk: 1}
+	switch v {
 	case SplitM:
-		// Allgather B (k-partitioned rows) then multiply my A rows.
-		ta := time.Now()
-		counts := make([]int, p.P)
-		for q := 0; q < p.P; q++ {
-			k0, k1 := dist.BlockRange(p.K, p.P, q)
-			counts[q] = (k1 - k0) * widthIf(p.N, k1-k0)
-		}
-		bAll := c.Allgatherv(bNat.Pack(), counts)
-		bFull := mat.New(p.K, p.N)
-		bFull.Unpack(bAll)
-		tm.Replicate += time.Since(ta)
-		c.RecordAlloc(int64(8 * len(bFull.Data)))
-		tg := time.Now()
-		cMine = mat.New(aNat.Rows, widthIf(p.N, aNat.Rows))
-		if aNat.Rows > 0 {
-			abft.Gemm(guard, true, aNat, bFull, 0, cMine)
-		}
-		tm.Compute += time.Since(tg)
-		c.ReleaseAlloc(int64(8 * len(bFull.Data)))
+		g.Pm = p
 	case SplitN:
-		ta := time.Now()
-		counts := make([]int, p.P)
-		for q := 0; q < p.P; q++ {
-			k0, k1 := dist.BlockRange(p.K, p.P, q)
-			counts[q] = heightIf(p.M, k1-k0) * (k1 - k0)
-		}
-		// A is column-partitioned; gather the column blocks.
-		aAll := c.Allgatherv(aNat.Pack(), counts)
-		aFull := mat.New(p.M, p.K)
-		off := 0
-		for q := 0; q < p.P; q++ {
-			if counts[q] == 0 {
-				continue
-			}
-			k0, k1 := dist.BlockRange(p.K, p.P, q)
-			aFull.View(0, k0, p.M, k1-k0).Unpack(aAll[off : off+counts[q]])
-			off += counts[q]
-		}
-		tm.Replicate += time.Since(ta)
-		c.RecordAlloc(int64(8 * len(aFull.Data)))
-		tg := time.Now()
-		cMine = mat.New(heightIf(p.M, bNat.Cols), bNat.Cols)
-		if bNat.Cols > 0 {
-			abft.Gemm(guard, true, aFull, bNat, 0, cMine)
-		}
-		tm.Compute += time.Since(tg)
-		c.ReleaseAlloc(int64(8 * len(aFull.Data)))
+		g.Pn = p
 	case SplitK:
-		// Full partial C per rank, then reduce-scatter by columns.
-		tg := time.Now()
-		cPart := mat.New(p.M, p.N)
-		if aNat.Cols > 0 {
-			abft.Gemm(guard, true, aNat, bNat, 0, cPart)
+		g.Pk = p
+	}
+	pl := &Plan{Schedule: core.NewSchedule(m, n, k, p, transA, transB, g), V: v}
+	if v != SplitK {
+		pl.Repl = core.ReplAllgather
+	}
+	for r := 0; r < p; r++ {
+		rp := &pl.Ranks[r]
+		all := core.NoGroup
+		if p > 1 {
+			all = core.Group{Key: r}
 		}
-		tm.Compute += time.Since(tg)
-		c.RecordAlloc(int64(8 * len(cPart.Data)))
-		ts := time.Now()
-		counts := make([]int, p.P)
-		buf := make([]float64, p.M*p.N)
-		off := 0
-		for q := 0; q < p.P; q++ {
-			n0, n1 := dist.BlockRange(p.N, p.P, q)
-			counts[q] = heightIf(p.M, n1-n0) * (n1 - n0)
-			if counts[q] == 0 {
-				continue
-			}
-			cPart.View(0, n0, p.M, n1-n0).PackInto(buf[off : off+counts[q]])
-			off += counts[q]
+		m0, m1 := dist.BlockRange(m, p, r)
+		n0, n1 := dist.BlockRange(n, p, r)
+		k0, k1 := dist.BlockRange(k, p, r)
+		switch v {
+		case SplitM:
+			// Allgather B (k-partitioned rows), multiply my A rows.
+			rp.PanelM, rp.PanelK, rp.PanelN, rp.BRepl = m1-m0, k, n, all
+			pl.ALayout.SetBlock(r, m0, 0, m1-m0, dist.ZeroIf(k, m1-m0))
+			pl.BLayout.SetBlock(r, k0, 0, k1-k0, dist.ZeroIf(n, k1-k0))
+			pl.CLayout.SetBlock(r, m0, 0, m1-m0, dist.ZeroIf(n, m1-m0))
+		case SplitN:
+			// Allgather A (k-partitioned columns), multiply my B columns.
+			rp.PanelM, rp.PanelK, rp.PanelN, rp.ARepl = m, k, n1-n0, all
+			pl.ALayout.SetBlock(r, 0, k0, dist.ZeroIf(m, k1-k0), k1-k0)
+			pl.BLayout.SetBlock(r, 0, n0, dist.ZeroIf(k, n1-n0), n1-n0)
+			pl.CLayout.SetBlock(r, 0, n0, dist.ZeroIf(m, n1-n0), n1-n0)
+		case SplitK:
+			// Full partial C per rank, then reduce-scatter by columns.
+			rp.PanelM, rp.PanelK, rp.PanelN, rp.CRed = m, k1-k0, n, all
+			pl.ALayout.SetBlock(r, 0, k0, dist.ZeroIf(m, k1-k0), k1-k0)
+			pl.BLayout.SetBlock(r, k0, 0, k1-k0, dist.ZeroIf(n, k1-k0))
+			pl.CLayout.SetBlock(r, 0, n0, dist.ZeroIf(m, n1-n0), n1-n0)
 		}
-		mine := c.ReduceScatter(buf[:off], trimCounts(counts, off))
-		n0, n1 := dist.BlockRange(p.N, p.P, c.Rank())
-		cMine = mat.New(heightIf(p.M, n1-n0), n1-n0)
-		cMine.Unpack(mine)
-		tm.Reduce += time.Since(ts)
-		c.ReleaseAlloc(int64(8 * len(cPart.Data)))
 	}
-
-	tr = time.Now()
-	cUser := dist.Redistribute(c, p.CLayout, cMine, cLayout)
-	tm.Redistribute += time.Since(tr)
-	c.ReleaseAlloc(int64(8 * (len(aNat.Data) + len(bNat.Data))))
-	tm.Total = time.Since(t0)
-	return cUser, tm
-}
-
-// trimCounts returns counts unchanged; it exists to document that the
-// packed buffer length equals the counts sum even when trailing ranks
-// own empty column ranges.
-func trimCounts(counts []int, total int) []int {
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != total {
-		panic(fmt.Sprintf("algo1d: packed %d elements, counts sum %d", total, sum))
-	}
-	return counts
+	return pl, nil
 }

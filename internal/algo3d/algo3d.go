@@ -18,242 +18,81 @@
 package algo3d
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/abft"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
-	"repro/internal/mat"
-	"repro/internal/mpi"
 )
 
-// Plan precomputes the cuboid grid and layouts.
+// Plan is the original-3D schedule: the native layouts are 2D blocks on
+// the k=0 storage face, the spread layouts one k-slice per grid layer.
 type Plan struct {
-	M, N, K        int
-	TransA, TransB bool
-	P              int
-	G              grid.Grid
-
-	// User-facing layouts: 2D blocks on the k=0 face.
-	ALayout, BLayout, CLayout *dist.Explicit
-	// Internal per-fiber block layouts (one k-slice per grid layer).
-	aSlice, bSlice *dist.Explicit
-
-	// ABFT guards the local GEMM steps with Huang–Abraham checksum
-	// protection (verify, correct in place, recompute locally).
-	ABFT abft.Options
-}
-
-// Timings is the per-rank stage breakdown.
-type Timings struct {
-	Redistribute time.Duration
-	Broadcast    time.Duration
-	Compute      time.Duration
-	Reduce       time.Duration
-	Total        time.Duration
+	*core.Schedule
 }
 
 // NewPlan builds an original-3D plan: the grid is the unconstrained
 // surface-optimal cuboid (the algorithm predates idle-process tricks,
 // so utilization follows the same bound as the other planners).
 func NewPlan(m, n, k, p int, transA, transB bool) (*Plan, error) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("algo3d: invalid dimensions %dx%dx%d", m, k, n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("algo3d: invalid process count %d", p)
+	if err := core.CheckDims("algo3d", m, n, k, p); err != nil {
+		return nil, err
 	}
 	g, err := grid.Optimize(m, n, k, p, grid.Options{NoCannonConstraint: true})
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{M: m, N: n, K: k, TransA: transA, TransB: transB, P: p, G: g}
-	pl.buildLayouts()
+	pl := &Plan{core.NewSchedule(m, n, k, p, transA, transB, g)}
+	pl.Repl = core.ReplBcast
+	pl.ASpread = dist.NewExplicit(m, k, p)
+	pl.BSpread = dist.NewExplicit(k, n, p)
+	for r := 0; r < g.Procs(); r++ {
+		pl.planRank(r)
+	}
 	return pl, nil
 }
 
-// role decodes rank r as (i, j, g) on the pm x pn x pk grid, k-layer
-// outermost (layer 0 = the storage face).
-func (p *Plan) role(r int) (i, j, g int, active bool) {
-	pmpn := p.G.Pm * p.G.Pn
-	if r >= pmpn*p.G.Pk {
-		return 0, 0, 0, false
+// planRank places rank r at (i, j, g) of the pm x pn x pk grid, k-layer
+// outermost (layer 0 = the storage face). A is broadcast along the
+// n-dimension fibers, B along the m-dimension fibers, and partial C
+// reduced along the k-dimension fibers. The original algorithm roots
+// each broadcast at the fiber member holding the piece; with the
+// 2D-blocked slice, member jj of a row fiber holds columns
+// BlockRange(kg, pn, jj) of A(mi, kg), so pn broadcasts reassemble the
+// block — one broadcast operation per source, as the paper describes.
+func (p *Plan) planRank(r int) {
+	pm, pn, pk := p.G.Pm, p.G.Pn, p.G.Pk
+	g, lr := r/(pm*pn), r%(pm*pn)
+	i, j := lr/pn, lr%pn
+	m0, m1 := dist.BlockRange(p.M, pm, i)
+	n0, n1 := dist.BlockRange(p.N, pn, j)
+	k0, k1 := dist.BlockRange(p.K, pk, g)
+
+	rp := &p.Ranks[r]
+	rp.PanelM, rp.PanelK, rp.PanelN = m1-m0, k1-k0, n1-n0
+	if pn > 1 {
+		rp.ARepl = core.Group{Color: g*pm + i, Key: j} // same (g, i), varying j
 	}
-	g = r / pmpn
-	lr := r % pmpn
-	return lr / p.G.Pn, lr % p.G.Pn, g, true
-}
-
-func (p *Plan) buildLayouts() {
-	p.ALayout = dist.NewExplicit(p.M, p.K, p.P)
-	p.BLayout = dist.NewExplicit(p.K, p.N, p.P)
-	p.CLayout = dist.NewExplicit(p.M, p.N, p.P)
-	p.aSlice = dist.NewExplicit(p.M, p.K, p.P)
-	p.bSlice = dist.NewExplicit(p.K, p.N, p.P)
-	for r := 0; r < p.P; r++ {
-		i, j, g, active := p.role(r)
-		if !active {
-			continue
-		}
-		m0, m1 := dist.BlockRange(p.M, p.G.Pm, i)
-		n0, n1 := dist.BlockRange(p.N, p.G.Pn, j)
-		k0, k1 := dist.BlockRange(p.K, p.G.Pk, g)
-		if g == 0 {
-			// Storage face: A 2D-blocked over (pm, pn) and B over
-			// (pm, pn) by their own shapes.
-			ka0, ka1 := dist.BlockRange(p.K, p.G.Pn, j)
-			p.ALayout.SetBlock(r, m0, ka0, zeroIf(m1-m0, ka1-ka0), ka1-ka0)
-			kb0, kb1 := dist.BlockRange(p.K, p.G.Pm, i)
-			p.BLayout.SetBlock(r, kb0, n0, kb1-kb0, zeroIf(n1-n0, kb1-kb0))
-		}
-		// Working slices: layer g holds the k-range g of A's columns
-		// (2D-blocked over pm x pn within the layer) and of B's rows.
-		kg := k1 - k0
-		alo, ahi := dist.BlockRange(kg, p.G.Pn, j)
-		p.aSlice.SetBlock(r, m0, k0+alo, zeroIf(m1-m0, ahi-alo), ahi-alo)
-		blo, bhi := dist.BlockRange(kg, p.G.Pm, i)
-		p.bSlice.SetBlock(r, k0+blo, n0, bhi-blo, zeroIf(n1-n0, bhi-blo))
-		// Final C: the (i, j) block column-split across layers.
-		clo, chi := dist.BlockRange(n1-n0, p.G.Pk, g)
-		p.CLayout.SetBlock(r, m0, n0+clo, zeroIf(m1-m0, chi-clo), chi-clo)
+	if pm > 1 {
+		rp.BRepl = core.Group{Color: g*pn + j, Key: i} // same (g, j), varying i
 	}
-}
-
-func zeroIf(v, gate int) int {
-	if gate == 0 {
-		return 0
-	}
-	return v
-}
-
-// Execute runs the original 3D algorithm on the calling rank.
-func (p *Plan) Execute(c *mpi.Comm, aLocal *mat.Dense, aLayout dist.Layout,
-	bLocal *mat.Dense, bLayout dist.Layout, cLayout dist.Layout) (*mat.Dense, *Timings) {
-
-	if c.Size() != p.P {
-		panic(fmt.Sprintf("algo3d: communicator size %d != plan size %d", c.Size(), p.P))
-	}
-	tm := &Timings{}
-	guard := abft.New(p.ABFT, c)
-	defer guard.Finish()
-	t0 := time.Now()
-
-	tr := time.Now()
-	aFace := dist.RedistributeOp(c, aLayout, aLocal, p.ALayout, p.TransA)
-	bFace := dist.RedistributeOp(c, bLayout, bLocal, p.BLayout, p.TransB)
-	// Move the k-slices from the storage face to their layers; the
-	// original algorithm folds this into its initial broadcasts, and
-	// the volume is identical.
-	aSl := dist.Redistribute(c, p.ALayout, aFace, p.aSlice)
-	bSl := dist.Redistribute(c, p.BLayout, bFace, p.bSlice)
-	tm.Redistribute += time.Since(tr)
-	c.RecordAlloc(int64(8 * (len(aSl.Data) + len(bSl.Data))))
-
-	i, j, g, active := p.role(c.Rank())
-	rowColor, rowKey := mpi.Undefined, 0 // A broadcast fiber: same (g, i), varying j
-	colColor, colKey := mpi.Undefined, 0 // B broadcast fiber: same (g, j), varying i
-	redColor, redKey := mpi.Undefined, 0 // C reduction fiber: same (i, j), varying g
-	if active {
-		rowColor, rowKey = g*p.G.Pm+i, j
-		colColor, colKey = g*p.G.Pn+j, i
-		redColor, redKey = i*p.G.Pn+j, g
-	}
-	rowComm := c.Split(rowColor, rowKey)
-	colComm := c.Split(colColor, colKey)
-	redComm := c.Split(redColor, redKey)
-
-	var cMine *mat.Dense
-	if active {
-		m0, m1 := dist.BlockRange(p.M, p.G.Pm, i)
-		n0, n1 := dist.BlockRange(p.N, p.G.Pn, j)
-		k0, k1 := dist.BlockRange(p.K, p.G.Pk, g)
-		mSz, nSz, kg := m1-m0, n1-n0, k1-k0
-
-		// Broadcast replication: every rank of the row fiber must end
-		// with the full A(mi, kg) block. The original algorithm roots
-		// each broadcast at the fiber member holding the piece; with
-		// the 2D-blocked slice, member jj holds columns BlockRange(kg,
-		// pn, jj), so pn broadcasts reassemble the block — one
-		// broadcast operation per source, as the paper describes.
-		tb := time.Now()
-		aFull := mat.New(mSz, kg)
-		for jj := 0; jj < p.G.Pn; jj++ {
-			lo, hi := dist.BlockRange(kg, p.G.Pn, jj)
-			if hi == lo || mSz == 0 {
-				continue
-			}
-			buf := make([]float64, mSz*(hi-lo))
-			if j == jj {
-				aSl.PackInto(buf)
-			}
-			buf = rowComm.Bcast(jj, buf)
-			aFull.View(0, lo, mSz, hi-lo).Unpack(buf)
-		}
-		bFull := mat.New(kg, nSz)
-		for ii := 0; ii < p.G.Pm; ii++ {
-			lo, hi := dist.BlockRange(kg, p.G.Pm, ii)
-			if hi == lo || nSz == 0 {
-				continue
-			}
-			buf := make([]float64, (hi-lo)*nSz)
-			if i == ii {
-				bSl.PackInto(buf)
-			}
-			buf = colComm.Bcast(ii, buf)
-			bFull.View(lo, 0, hi-lo, nSz).Unpack(buf)
-		}
-		tm.Broadcast += time.Since(tb)
-		c.RecordAlloc(int64(8 * (len(aFull.Data) + len(bFull.Data))))
-
-		tg := time.Now()
-		cPart := mat.New(mSz, nSz)
-		if kg > 0 && mSz > 0 && nSz > 0 {
-			abft.Gemm(guard, true, aFull, bFull, 0, cPart)
-		}
-		tm.Compute += time.Since(tg)
-
-		td := time.Now()
-		cMine = reduceScatterColumns(redComm, cPart, p.G.Pk, g)
-		tm.Reduce += time.Since(td)
-		c.ReleaseAlloc(int64(8 * (len(aFull.Data) + len(bFull.Data))))
-	} else {
-		cr, cc := p.CLayout.LocalShape(c.Rank())
-		cMine = mat.New(cr, cc)
+	if pk > 1 {
+		rp.CRed = core.Group{Color: i*pn + j, Key: g} // same (i, j), varying g
 	}
 
-	tr = time.Now()
-	cUser := dist.Redistribute(c, p.CLayout, cMine, cLayout)
-	tm.Redistribute += time.Since(tr)
-	c.ReleaseAlloc(int64(8 * (len(aSl.Data) + len(bSl.Data))))
-	tm.Total = time.Since(t0)
-	return cUser, tm
-}
-
-func reduceScatterColumns(comm *mpi.Comm, part *mat.Dense, cnt, idx int) *mat.Dense {
-	if cnt == 1 {
-		return part
+	if g == 0 {
+		// Storage face: A 2D-blocked over (pm, pn) and B over
+		// (pm, pn) by their own shapes.
+		lo, hi := dist.BlockRange(p.K, pn, j)
+		p.ALayout.SetBlock(r, m0, lo, dist.ZeroIf(m1-m0, hi-lo), hi-lo)
+		lo, hi = dist.BlockRange(p.K, pm, i)
+		p.BLayout.SetBlock(r, lo, n0, hi-lo, dist.ZeroIf(n1-n0, hi-lo))
 	}
-	rows, cols := part.Rows, part.Cols
-	counts := make([]int, cnt)
-	buf := make([]float64, rows*cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		counts[q] = rows * (hi - lo)
-		if counts[q] == 0 {
-			continue
-		}
-		part.View(0, lo, rows, hi-lo).PackInto(buf[off : off+counts[q]])
-		off += counts[q]
-	}
-	mine := comm.ReduceScatter(buf, counts)
-	lo, hi := dist.BlockRange(cols, cnt, idx)
-	outRows := rows
-	if hi == lo {
-		outRows = 0
-	}
-	out := mat.New(outRows, hi-lo)
-	out.Unpack(mine)
-	return out
+	// Working slices: layer g holds the k-range g of A's columns
+	// (2D-blocked over pm x pn within the layer) and of B's rows.
+	lo, hi := dist.BlockRange(k1-k0, pn, j)
+	p.ASpread.SetBlock(r, m0, k0+lo, dist.ZeroIf(m1-m0, hi-lo), hi-lo)
+	lo, hi = dist.BlockRange(k1-k0, pm, i)
+	p.BSpread.SetBlock(r, k0+lo, n0, hi-lo, dist.ZeroIf(n1-n0, hi-lo))
+	// Final C: the (i, j) block column-split across layers.
+	lo, hi = dist.BlockRange(n1-n0, pk, g)
+	p.CLayout.SetBlock(r, m0, n0+lo, dist.ZeroIf(m1-m0, hi-lo), hi-lo)
 }

@@ -19,42 +19,19 @@
 package c25d
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/abft"
+	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/mat"
-	"repro/internal/mpi"
-	"repro/internal/summa"
+	"repro/internal/grid"
 )
 
-// Plan precomputes the grid and layouts for a 2.5D multiplication.
+// Plan is the 2.5D schedule — a p x p x c grid with SUMMA as the inner
+// kernel of each layer; the native layouts are 2D blocks on layer 0,
+// the spread layouts each layer's k-slice — plus the grid in the
+// algorithm's own terms.
 type Plan struct {
-	M, N, K        int
-	TransA, TransB bool
-	P              int
-	Side           int // p: side of each square layer grid
-	Layers         int // c: number of replication layers
-
-	// Native (user-facing) layouts: 2D blocks on layer 0.
-	ALayout, BLayout, CLayout *dist.Explicit
-	// Internal per-layer k-slice layouts.
-	aSlice, bSlice *dist.Explicit
-
-	// ABFT guards the local GEMM steps with Huang–Abraham checksum
-	// protection (threaded into each layer's SUMMA configuration).
-	ABFT abft.Options
-}
-
-// Timings is the per-rank stage breakdown.
-type Timings struct {
-	Redistribute time.Duration
-	Spread       time.Duration // layer-0 -> layers input movement
-	SummaComm    time.Duration
-	Compute      time.Duration
-	Reduce       time.Duration
-	Total        time.Duration
+	*core.Schedule
+	Side   int // p: side of each square layer grid
+	Layers int // c: number of replication layers
 }
 
 // ChooseGrid picks the 2.5D grid for P processes: maximize the active
@@ -86,170 +63,54 @@ func ChooseGrid(m, n, k, procs int) (side, layers int) {
 
 // NewPlan builds a 2.5D plan on p processes.
 func NewPlan(m, n, k, p int, transA, transB bool) (*Plan, error) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("c25d: invalid dimensions %dx%dx%d", m, k, n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("c25d: invalid process count %d", p)
+	if err := core.CheckDims("c25d", m, n, k, p); err != nil {
+		return nil, err
 	}
 	side, layers := ChooseGrid(m, n, k, p)
-	pl := &Plan{
-		M: m, N: n, K: k, TransA: transA, TransB: transB,
-		P: p, Side: side, Layers: layers,
+	g := grid.Grid{Pm: side, Pn: side, Pk: layers}
+	pl := &Plan{Schedule: core.NewSchedule(m, n, k, p, transA, transB, g), Side: side, Layers: layers}
+	pl.Kernel = core.KernelSUMMA
+	pl.ASpread = dist.NewExplicit(m, k, p)
+	pl.BSpread = dist.NewExplicit(k, n, p)
+	for r := 0; r < g.Procs(); r++ {
+		pl.planRank(r)
 	}
-	pl.buildLayouts()
 	return pl, nil
 }
 
-// ActiveProcs returns p*p*c.
-func (p *Plan) ActiveProcs() int { return p.Side * p.Side * p.Layers }
-
-// role decodes a rank into (layer, row, col); layer 0 occupies the
-// first p*p ranks.
-func (p *Plan) role(r int) (layer, row, col int, active bool) {
-	if r >= p.ActiveProcs() {
-		return 0, 0, 0, false
-	}
-	layer = r / (p.Side * p.Side)
-	lr := r % (p.Side * p.Side)
-	return layer, lr / p.Side, lr % p.Side, true
-}
-
-func (p *Plan) buildLayouts() {
+// planRank places rank r at (layer, row, col); layer 0 occupies the
+// first p*p ranks and stores the inputs. Layer ℓ works on k-range ℓ,
+// SUMMA 2D-blocked within the layer, and keeps part ℓ of each C block's
+// column split across layers.
+func (p *Plan) planRank(r int) {
 	s := p.Side
-	p.ALayout = dist.NewExplicit(p.M, p.K, p.P)
-	p.BLayout = dist.NewExplicit(p.K, p.N, p.P)
-	p.CLayout = dist.NewExplicit(p.M, p.N, p.P)
-	p.aSlice = dist.NewExplicit(p.M, p.K, p.P)
-	p.bSlice = dist.NewExplicit(p.K, p.N, p.P)
-	for r := 0; r < p.P; r++ {
-		layer, i, j, active := p.role(r)
-		if !active {
-			continue
-		}
-		if layer == 0 {
-			// User-facing storage: 2D blocks on layer 0.
-			m0, m1 := dist.BlockRange(p.M, s, i)
-			k0, k1 := dist.BlockRange(p.K, s, j)
-			p.ALayout.SetBlock(r, m0, k0, m1-m0, k1-k0)
-			kr0, kr1 := dist.BlockRange(p.K, s, i)
-			n0, n1 := dist.BlockRange(p.N, s, j)
-			p.BLayout.SetBlock(r, kr0, n0, kr1-kr0, n1-n0)
-		}
-		// Internal k-slice layouts: layer ℓ owns k-range ℓ, SUMMA
-		// 2D-blocked within the layer.
-		ks0, ks1 := dist.BlockRange(p.K, p.Layers, layer)
-		kg := ks1 - ks0
-		// Shapes are recorded exactly (even when a dimension is zero)
-		// because the SUMMA kernel checks its block shapes.
-		cfg := p.layerConfig(kg)
-		ar0, ac0, arows, acols := cfg.ABlock(i, j)
-		p.aSlice.SetBlock(r, ar0, ks0+ac0, arows, acols)
-		br0, bc0, brows, bcols := cfg.BBlock(i, j)
-		p.bSlice.SetBlock(r, ks0+br0, bc0, brows, bcols)
-		// Final C: the layer's share of the (i,j) block, column-split
-		// across layers.
-		cr0, cc0, crows, ccols := cfg.CBlock(i, j)
-		cl0, cl1 := dist.BlockRange(ccols, p.Layers, layer)
-		if crows > 0 && cl1 > cl0 {
-			p.CLayout.SetBlock(r, cr0, cc0+cl0, crows, cl1-cl0)
-		} else {
-			p.CLayout.SetBlock(r, 0, 0, 0, 0)
-		}
-	}
-}
+	layer, lr := r/(s*s), r%(s*s)
+	i, j := lr/s, lr%s
+	k0, k1 := dist.BlockRange(p.K, p.Layers, layer)
 
-// layerConfig returns the SUMMA configuration of one layer's panel.
-func (p *Plan) layerConfig(kg int) summa.Config {
-	return summa.Config{Pr: p.Side, Pc: p.Side, M: p.M, K: kg, N: p.N, ABFT: p.ABFT}
-}
-
-// Execute runs the 2.5D algorithm on the calling rank.
-func (p *Plan) Execute(c *mpi.Comm, aLocal *mat.Dense, aLayout dist.Layout,
-	bLocal *mat.Dense, bLayout dist.Layout, cLayout dist.Layout) (*mat.Dense, *Timings) {
-
-	if c.Size() != p.P {
-		panic(fmt.Sprintf("c25d: communicator size %d != plan size %d", c.Size(), p.P))
-	}
-	tm := &Timings{}
-	t0 := time.Now()
-
-	// Redistribute user inputs onto layer 0.
-	tr := time.Now()
-	aL0 := dist.RedistributeOp(c, aLayout, aLocal, p.ALayout, p.TransA)
-	bL0 := dist.RedistributeOp(c, bLayout, bLocal, p.BLayout, p.TransB)
-	tm.Redistribute += time.Since(tr)
-	c.RecordAlloc(int64(8 * (len(aL0.Data) + len(bL0.Data))))
-
-	// Spread k-slices from layer 0 to all layers (the 2.5D input
-	// broadcast step).
-	ts := time.Now()
-	aSl := dist.Redistribute(c, p.ALayout, aL0, p.aSlice)
-	bSl := dist.Redistribute(c, p.BLayout, bL0, p.bSlice)
-	tm.Spread += time.Since(ts)
-	c.RecordAlloc(int64(8 * (len(aSl.Data) + len(bSl.Data))))
-
-	layer, i, j, active := p.role(c.Rank())
-	layerColor, layerKey := mpi.Undefined, 0
-	redColor, redKey := mpi.Undefined, 0
-	if active {
-		layerColor, layerKey = layer, i*p.Side+j
-		redColor, redKey = i*p.Side+j, layer
-	}
-	layerComm := c.Split(layerColor, layerKey)
-	redComm := c.Split(redColor, redKey)
-
-	var cMine *mat.Dense
-	if active {
-		ks0, ks1 := dist.BlockRange(p.K, p.Layers, layer)
-		cfg := p.layerConfig(ks1 - ks0)
-		cPart, stm := summa.Multiply(layerComm, aSl, bSl, cfg)
-		tm.SummaComm += stm.Comm
-		tm.Compute += stm.Compute
-		c.RecordAlloc(int64(8 * len(cPart.Data)))
-
-		// Reduce partial C across layers, column-split c ways.
-		trd := time.Now()
-		cMine = reduceScatterColumns(redComm, cPart, p.Layers, layer)
-		tm.Reduce += time.Since(trd)
-		c.ReleaseAlloc(int64(8 * len(cPart.Data)))
-	} else {
-		cr, cc := p.CLayout.LocalShape(c.Rank())
-		cMine = mat.New(cr, cc)
+	rp := &p.Ranks[r]
+	rp.PanelM, rp.PanelK, rp.PanelN = p.M, k1-k0, p.N
+	rp.Inner = core.Group{Color: layer, Key: lr}
+	if p.Layers > 1 {
+		rp.CRed = core.Group{Color: lr, Key: layer}
 	}
 
-	tr = time.Now()
-	cUser := dist.Redistribute(c, p.CLayout, cMine, cLayout)
-	tm.Redistribute += time.Since(tr)
-	c.ReleaseAlloc(int64(8 * (len(aL0.Data) + len(bL0.Data) + len(aSl.Data) + len(bSl.Data))))
-	tm.Total = time.Since(t0)
-	return cUser, tm
-}
-
-func reduceScatterColumns(comm *mpi.Comm, part *mat.Dense, cnt, idx int) *mat.Dense {
-	if cnt == 1 {
-		return part
+	m0, m1 := dist.BlockRange(p.M, s, i)
+	n0, n1 := dist.BlockRange(p.N, s, j)
+	if layer == 0 {
+		lo, hi := dist.BlockRange(p.K, s, j)
+		p.ALayout.SetBlock(r, m0, lo, m1-m0, hi-lo)
+		lo, hi = dist.BlockRange(p.K, s, i)
+		p.BLayout.SetBlock(r, lo, n0, hi-lo, n1-n0)
 	}
-	rows, cols := part.Rows, part.Cols
-	counts := make([]int, cnt)
-	buf := make([]float64, rows*cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		counts[q] = rows * (hi - lo)
-		if counts[q] == 0 {
-			continue
-		}
-		part.View(0, lo, rows, hi-lo).PackInto(buf[off : off+counts[q]])
-		off += counts[q]
+	// Shapes are recorded exactly (even when a dimension is zero)
+	// because the SUMMA kernel checks its block shapes.
+	lo, hi := dist.BlockRange(k1-k0, s, j)
+	p.ASpread.SetBlock(r, m0, k0+lo, m1-m0, hi-lo)
+	lo, hi = dist.BlockRange(k1-k0, s, i)
+	p.BSpread.SetBlock(r, k0+lo, n0, hi-lo, n1-n0)
+	lo, hi = dist.BlockRange(n1-n0, p.Layers, layer)
+	if m1 > m0 && hi > lo {
+		p.CLayout.SetBlock(r, m0, n0+lo, m1-m0, hi-lo)
 	}
-	mine := comm.ReduceScatter(buf, counts)
-	lo, hi := dist.BlockRange(cols, cnt, idx)
-	outRows := rows
-	if hi == lo {
-		outRows = 0
-	}
-	out := mat.New(outRows, hi-lo)
-	out.Unpack(mine)
-	return out
 }

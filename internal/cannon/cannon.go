@@ -49,10 +49,6 @@ type Config struct {
 	// MinKBlock is the k-width threshold below which MultiShift
 	// aggregation activates. Zero means 64.
 	MinKBlock int
-	// ABFT guards every local GEMM step with Huang–Abraham checksums:
-	// verify per accumulation step, correct a localized single error
-	// in place, recompute the tile locally otherwise.
-	ABFT abft.Options
 }
 
 // Timings separates the wall-clock cost of the multiplication into
@@ -89,8 +85,11 @@ func PadBlock(local *mat.Dense, padRows, padCols int) *mat.Dense {
 // of the *padded* uniform partition of A and B (use PadBlock). The
 // returned matrix is the caller's unpadded block of C (balanced
 // ceiling/floor split per Cannon convention: row block i covers rows
-// [i*am, min((i+1)*am, M)) of the panel, where am = ceil(M/S)).
-func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
+// [i*am, min((i+1)*am, M)) of the panel, where am = ceil(M/S)), drawn
+// from ar (nil = plain allocation) so the caller may Put it back. g
+// guards every local GEMM step with Huang–Abraham checksums (nil = no
+// guard).
+func Multiply(c *mpi.Comm, g *abft.Guard, a, b *mat.Dense, cfg Config, ar *mat.Arena) (*mat.Dense, Timings) {
 	var tm Timings
 	s := cfg.S
 	if c.Size() != s*s {
@@ -105,15 +104,13 @@ func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
 	}
 
 	row, col := c.Rank()/s, c.Rank()%s
-	cPad := mat.New(am, bn)
-	g := abft.New(cfg.ABFT, c)
-	defer g.Finish()
+	cPad := ar.Get(am, bn)
 
 	if s == 1 {
 		t0 := time.Now()
 		abft.Gemm(g, true, a, b, 0, cPad)
 		tm.Compute += time.Since(t0)
-		return cropC(cPad, cfg, row, col), tm
+		return cropC(cPad, cfg, row, col, ar), tm
 	}
 
 	rank := func(r, cc int) int { return ((r+s)%s)*s + (cc+s)%s }
@@ -182,7 +179,7 @@ func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
 		}
 	}
 
-	return cropC(cPad, cfg, row, col), tm
+	return cropC(cPad, cfg, row, col, ar), tm
 }
 
 // multiplyOverlapped is the double-buffered shift loop: step i's GEMM
@@ -277,8 +274,10 @@ func multiplyAggregated(c *mpi.Comm, guard *abft.Guard, curA, curB, cPad *mat.De
 }
 
 // cropC trims the padded C block to the caller's true block of the
-// M x N panel: row block i covers [i*am, min((i+1)*am, M)).
-func cropC(cPad *mat.Dense, cfg Config, row, col int) *mat.Dense {
+// M x N panel: row block i covers [i*am, min((i+1)*am, M)). An interior
+// block is the padded block itself; an edge block is copied out and the
+// padded slab returned to ar.
+func cropC(cPad *mat.Dense, cfg Config, row, col int, ar *mat.Arena) *mat.Dense {
 	am, _, bn := cfg.BlockShape()
 	r0 := row * am
 	c0 := col * bn
@@ -290,7 +289,13 @@ func cropC(cPad *mat.Dense, cfg Config, row, col int) *mat.Dense {
 	if cols < 0 {
 		cols = 0
 	}
-	return cPad.View(0, 0, rows, cols).Clone()
+	if rows == am && cols == bn {
+		return cPad
+	}
+	out := ar.Get(rows, cols)
+	out.CopyFrom(cPad.View(0, 0, rows, cols))
+	ar.Put(cPad)
+	return out
 }
 
 // BlockOwned returns the global (within-panel) rectangle of the C

@@ -23,7 +23,7 @@ func runCannon(t *testing.T, a, b *mat.Dense, cfg Config) *mat.Dense {
 		br0, bc0, brows, bcols := BBlockOwned(cfg, row, col)
 		aLoc := PadBlock(a.View(ar0, ac0, arows, acols), am, ak)
 		bLoc := PadBlock(b.View(br0, bc0, brows, bcols), ak, bn)
-		cLoc, _ := Multiply(c, aLoc, bLoc, cfg)
+		cLoc, _ := Multiply(c, nil, aLoc, bLoc, cfg, nil)
 		cr0, cc0, crows, ccols := BlockOwned(cfg, row, col)
 		mu.Lock()
 		if crows > 0 && ccols > 0 {
@@ -142,7 +142,7 @@ func TestCannonTimingsPopulated(t *testing.T) {
 		br0, bc0, brows, bcols := BBlockOwned(cfg, row, col)
 		aLoc := PadBlock(a.View(ar0, ac0, arows, acols), am, ak)
 		bLoc := PadBlock(b.View(br0, bc0, brows, bcols), ak, bn)
-		_, tm := Multiply(c, aLoc, bLoc, cfg)
+		_, tm := Multiply(c, nil, aLoc, bLoc, cfg, nil)
 		if tm.Compute <= 0 {
 			t.Errorf("rank %d: no compute time recorded", c.Rank())
 		}
@@ -154,7 +154,7 @@ func TestCannonTimingsPopulated(t *testing.T) {
 
 func TestCannonWrongCommSizePanics(t *testing.T) {
 	_, err := mpi.Run(3, func(c *mpi.Comm) {
-		Multiply(c, mat.New(1, 1), mat.New(1, 1), Config{S: 2, M: 2, K: 2, N: 2})
+		Multiply(c, nil, mat.New(1, 1), mat.New(1, 1), Config{S: 2, M: 2, K: 2, N: 2}, nil)
 	})
 	if err == nil {
 		t.Fatal("expected size mismatch error")
@@ -163,7 +163,7 @@ func TestCannonWrongCommSizePanics(t *testing.T) {
 
 func TestCannonWrongBlockShapePanics(t *testing.T) {
 	_, err := mpi.Run(1, func(c *mpi.Comm) {
-		Multiply(c, mat.New(3, 3), mat.New(3, 3), Config{S: 1, M: 2, K: 3, N: 3})
+		Multiply(c, nil, mat.New(3, 3), mat.New(3, 3), Config{S: 1, M: 2, K: 3, N: 3}, nil)
 	})
 	if err == nil {
 		t.Fatal("expected block shape error")
@@ -183,7 +183,7 @@ func TestCannonStatsNeighborOnly(t *testing.T) {
 		br0, bc0, brows, bcols := BBlockOwned(cfg, row, col)
 		aLoc := PadBlock(a.View(ar0, ac0, arows, acols), am, ak)
 		bLoc := PadBlock(b.View(br0, bc0, brows, bcols), ak, bn)
-		Multiply(c, aLoc, bLoc, cfg)
+		Multiply(c, nil, aLoc, bLoc, cfg, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestCannonProperty(t *testing.T) {
 			br0, bc0, brows, bcols := BBlockOwned(cfg, row, col)
 			aLoc := PadBlock(a.View(ar0, ac0, arows, acols), am, ak)
 			bLoc := PadBlock(b.View(br0, bc0, brows, bcols), ak, bn)
-			cLoc, _ := Multiply(c, aLoc, bLoc, cfg)
+			cLoc, _ := Multiply(c, nil, aLoc, bLoc, cfg, nil)
 			cr0, cc0, crows, ccols := BlockOwned(cfg, row, col)
 			mu.Lock()
 			if crows > 0 && ccols > 0 {

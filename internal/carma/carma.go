@@ -17,12 +17,10 @@ package carma
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
-	"repro/internal/abft"
+	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/mat"
-	"repro/internal/mpi"
+	"repro/internal/grid"
 )
 
 // Dim identifies the dimension bisected at a recursion level.
@@ -37,100 +35,108 @@ const (
 
 func (d Dim) String() string { return [...]string{"m", "k", "n"}[d] }
 
-// Plan precomputes the recursion (the split sequence), each rank's
-// leaf subproblem, and the native input/output layouts.
+// Plan is the schedule (each rank's leaf subproblem, sharer groups and
+// native blocks; G is the bisection-equivalent grid) plus the recursion
+// that produced it.
 type Plan struct {
-	M, N, K        int
-	TransA, TransB bool
-	P              int // must be a power of two
-	Splits         []Dim
-
-	ALayout, BLayout, CLayout *dist.Explicit
-
-	// ABFT guards the local GEMM steps with Huang–Abraham checksum
-	// protection (verify, correct in place, recompute locally).
-	ABFT abft.Options
-
-	// Per-rank leaf ranges, indexed by rank.
-	leafM, leafK, leafN [][2]int
-	// Bit masks of the split levels per dimension (bit ℓ set means
-	// level ℓ split that dimension). Level ℓ corresponds to rank bit
-	// L-1-ℓ so that sibling halves are contiguous rank ranges.
-	nSplitLevels, mSplitLevels, kSplitLevels []int
-}
-
-// Timings is the per-rank stage breakdown.
-type Timings struct {
-	Redistribute time.Duration
-	Replicate    time.Duration
-	Compute      time.Duration
-	Reduce       time.Duration
-	Total        time.Duration
+	*core.Schedule
+	Splits []Dim // the bisected dimension per recursion level
 }
 
 // NewPlan builds a CARMA plan. p must be a power of two (the
 // algorithm's documented restriction).
 func NewPlan(m, n, k, p int, transA, transB bool) (*Plan, error) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("carma: invalid dimensions %dx%dx%d", m, k, n)
+	if err := core.CheckDims("carma", m, n, k, p); err != nil {
+		return nil, err
 	}
-	if p <= 0 || p&(p-1) != 0 {
+	if p&(p-1) != 0 {
 		return nil, fmt.Errorf("carma: process count %d is not a power of two", p)
 	}
-	pl := &Plan{M: m, N: n, K: k, P: p, TransA: transA, TransB: transB}
-
 	// Decide the split sequence on the global problem: always bisect
 	// the (currently) largest dimension, ties broken m > n > k as a
 	// fixed convention.
+	var splits []Dim
+	g := grid.Grid{Pm: 1, Pn: 1, Pk: 1}
 	cm, cn, ck := m, n, k
-	levels := bits.TrailingZeros(uint(p))
-	for ℓ := 0; ℓ < levels; ℓ++ {
+	for ℓ := bits.TrailingZeros(uint(p)); ℓ > 0; ℓ-- {
 		switch {
 		case cm >= cn && cm >= ck:
-			pl.Splits = append(pl.Splits, DimM)
+			splits = append(splits, DimM)
 			cm = (cm + 1) / 2
+			g.Pm *= 2
 		case cn >= ck:
-			pl.Splits = append(pl.Splits, DimN)
+			splits = append(splits, DimN)
 			cn = (cn + 1) / 2
+			g.Pn *= 2
 		default:
-			pl.Splits = append(pl.Splits, DimK)
+			splits = append(splits, DimK)
 			ck = (ck + 1) / 2
+			g.Pk *= 2
 		}
 	}
-	pl.computeLeaves()
-	pl.buildLayouts()
+	pl := &Plan{Schedule: core.NewSchedule(m, n, k, p, transA, transB, g), Splits: splits}
+	pl.Repl = core.ReplAllgather
+	for r := 0; r < p; r++ {
+		pl.planRank(r)
+	}
 	return pl, nil
 }
 
-// computeLeaves walks each rank down the split tree.
-func (p *Plan) computeLeaves() {
+// planRank walks rank r down the split tree to its leaf subproblem and
+// assigns its groups and native blocks. Level ℓ corresponds to rank bit
+// L-1-ℓ, so sibling halves are contiguous rank ranges. The ranks
+// sharing a leaf block differ exactly in the levels that split the
+// dimension the block does not have: A(mr, kr) is shared across the
+// n-split levels, B(kr, nr) across the m-split levels, and the partial
+// C(mr, nr) across the k-split levels. Each sharer initially holds a
+// 1/(sharers) strip of the block, so all ranks together hold exactly
+// one copy of each input, and finally a 1/(k-sharers) strip of C.
+func (p *Plan) planRank(r int) {
 	L := len(p.Splits)
-	p.leafM = make([][2]int, p.P)
-	p.leafK = make([][2]int, p.P)
-	p.leafN = make([][2]int, p.P)
-	p.mSplitLevels = make([]int, p.P)
-	p.kSplitLevels = make([]int, p.P)
-	p.nSplitLevels = make([]int, p.P)
-	for r := 0; r < p.P; r++ {
-		mr := [2]int{0, p.M}
-		kr := [2]int{0, p.K}
-		nr := [2]int{0, p.N}
+	mr, kr, nr := [2]int{0, p.M}, [2]int{0, p.K}, [2]int{0, p.N}
+	var mask [3]int // bit ℓ set: level ℓ split that Dim
+	for ℓ, d := range p.Splits {
+		side := (r >> (L - 1 - ℓ)) & 1
+		mask[d] |= 1 << ℓ
+		switch d {
+		case DimM:
+			mr = half(mr, side)
+		case DimK:
+			kr = half(kr, side)
+		case DimN:
+			nr = half(nr, side)
+		}
+	}
+	mSz, kSz, nSz := mr[1]-mr[0], kr[1]-kr[0], nr[1]-nr[0]
+	rp := &p.Ranks[r]
+	rp.PanelM, rp.PanelK, rp.PanelN = mSz, kSz, nSz
+
+	// share returns the rank's group among the 2^b ranks differing in
+	// the levels of mask (key read MSB-first by level so keys are
+	// contiguous under recursive doubling; color = the rank with those
+	// bits cleared) and its strip of an n-wide extent.
+	share := func(mask, n int) (g core.Group, lo, hi int) {
+		if mask == 0 {
+			return core.NoGroup, 0, n
+		}
+		g.Color, lo, hi = r, 0, 1
 		for ℓ := 0; ℓ < L; ℓ++ {
-			side := (r >> (L - 1 - ℓ)) & 1
-			switch p.Splits[ℓ] {
-			case DimM:
-				mr = half(mr, side)
-				p.mSplitLevels[r] |= 1 << ℓ
-			case DimK:
-				kr = half(kr, side)
-				p.kSplitLevels[r] |= 1 << ℓ
-			case DimN:
-				nr = half(nr, side)
-				p.nSplitLevels[r] |= 1 << ℓ
+			if mask&(1<<ℓ) != 0 {
+				g.Key = g.Key<<1 | (r>>(L-1-ℓ))&1
+				g.Color &^= 1 << (L - 1 - ℓ)
+				hi <<= 1
 			}
 		}
-		p.leafM[r], p.leafK[r], p.leafN[r] = mr, kr, nr
+		lo, hi = dist.BlockRange(n, hi, g.Key)
+		return g, lo, hi
 	}
+	var lo, hi int
+	rp.ARepl, lo, hi = share(mask[DimN], kSz)
+	p.ALayout.SetBlock(r, mr[0], kr[0]+lo, dist.ZeroIf(mSz, hi-lo), hi-lo)
+	rp.BRepl, lo, hi = share(mask[DimM], kSz)
+	p.BLayout.SetBlock(r, kr[0]+lo, nr[0], hi-lo, dist.ZeroIf(nSz, hi-lo))
+	rp.CRed, lo, hi = share(mask[DimK], nSz)
+	p.CLayout.SetBlock(r, mr[0], nr[0]+lo, dist.ZeroIf(mSz, hi-lo), hi-lo)
 }
 
 func half(r [2]int, side int) [2]int {
@@ -140,207 +146,4 @@ func half(r [2]int, side int) [2]int {
 		return [2]int{lo, mid}
 	}
 	return [2]int{mid, hi}
-}
-
-// shareIndex returns this rank's index among the 2^b ranks that share
-// a replicated block, where the sharers differ exactly in the split
-// levels of mask (read MSB-first by level so indices are contiguous
-// under recursive doubling).
-func shareIndex(rank, mask, L int) (idx, count int) {
-	count = 1
-	for ℓ := 0; ℓ < L; ℓ++ {
-		if mask&(1<<ℓ) == 0 {
-			continue
-		}
-		idx = idx<<1 | (rank>>(L-1-ℓ))&1
-		count <<= 1
-	}
-	return idx, count
-}
-
-// buildLayouts assigns the native distributions: each rank initially
-// holds a 1/(sharers) slice of its leaf A and B blocks (so all ranks
-// together hold exactly one copy of each input), and finally holds a
-// 1/(k-sharers) slice of its leaf C block.
-func (p *Plan) buildLayouts() {
-	L := len(p.Splits)
-	p.ALayout = dist.NewExplicit(p.M, p.K, p.P)
-	p.BLayout = dist.NewExplicit(p.K, p.N, p.P)
-	p.CLayout = dist.NewExplicit(p.M, p.N, p.P)
-	for r := 0; r < p.P; r++ {
-		mr, kr, nr := p.leafM[r], p.leafK[r], p.leafN[r]
-		// A(mr, kr) is shared by ranks differing in n-split levels.
-		idx, cnt := shareIndex(r, p.nSplitLevels[r], L)
-		lo, hi := dist.BlockRange(kr[1]-kr[0], cnt, idx)
-		p.ALayout.SetBlock(r, mr[0], kr[0]+lo, rowsIf(mr[1]-mr[0], hi-lo), hi-lo)
-		// B(kr, nr) is shared by ranks differing in m-split levels.
-		idx, cnt = shareIndex(r, p.mSplitLevels[r], L)
-		lo, hi = dist.BlockRange(kr[1]-kr[0], cnt, idx)
-		p.BLayout.SetBlock(r, kr[0]+lo, nr[0], hi-lo, colsIf(nr[1]-nr[0], hi-lo))
-		// C(mr, nr) is shared by ranks differing in k-split levels.
-		idx, cnt = shareIndex(r, p.kSplitLevels[r], L)
-		lo, hi = dist.BlockRange(nr[1]-nr[0], cnt, idx)
-		p.CLayout.SetBlock(r, mr[0], nr[0]+lo, rowsIf(mr[1]-mr[0], hi-lo), hi-lo)
-	}
-}
-
-func rowsIf(rows, cols int) int {
-	if cols == 0 {
-		return 0
-	}
-	return rows
-}
-
-func colsIf(cols, rows int) int {
-	if rows == 0 {
-		return 0
-	}
-	return cols
-}
-
-// Execute runs CARMA on the calling rank: redistribute inputs to the
-// native layouts, replicate A across n-split sharers and B across
-// m-split sharers, one local multiplication, reduce-scatter partial C
-// across k-split sharers, and redistribute C to the caller's layout.
-func (p *Plan) Execute(c *mpi.Comm, aLocal *mat.Dense, aLayout dist.Layout,
-	bLocal *mat.Dense, bLayout dist.Layout, cLayout dist.Layout) (*mat.Dense, *Timings) {
-
-	if c.Size() != p.P {
-		panic(fmt.Sprintf("carma: communicator size %d != plan size %d", c.Size(), p.P))
-	}
-	tm := &Timings{}
-	guard := abft.New(p.ABFT, c)
-	defer guard.Finish()
-	t0 := time.Now()
-	L := len(p.Splits)
-	r := c.Rank()
-
-	tr := time.Now()
-	aNat := dist.RedistributeOp(c, aLayout, aLocal, p.ALayout, p.TransA)
-	bNat := dist.RedistributeOp(c, bLayout, bLocal, p.BLayout, p.TransB)
-	tm.Redistribute += time.Since(tr)
-	c.RecordAlloc(int64(8 * (len(aNat.Data) + len(bNat.Data))))
-
-	mr, kr, nr := p.leafM[r], p.leafK[r], p.leafN[r]
-	mSz, kSz, nSz := mr[1]-mr[0], kr[1]-kr[0], nr[1]-nr[0]
-
-	// Replicate A across the n-sharers (column-split parts).
-	ta := time.Now()
-	aIdx, aCnt := shareIndex(r, p.nSplitLevels[r], L)
-	aComm := c.Split(groupColor(r, p.nSplitLevels[r], L), aIdx)
-	aFull := gatherColumnParts(aComm, aNat, mSz, kSz, aCnt)
-	// Replicate B across the m-sharers (row-split parts).
-	bIdx, bCnt := shareIndex(r, p.mSplitLevels[r], L)
-	bComm := c.Split(groupColor(r, p.mSplitLevels[r], L), bIdx)
-	bFull := gatherRowParts(bComm, bNat, kSz, nSz, bCnt)
-	tm.Replicate += time.Since(ta)
-	c.RecordAlloc(int64(8 * (len(aFull.Data) + len(bFull.Data))))
-
-	// Leaf multiplication.
-	tg := time.Now()
-	cPart := mat.New(mSz, nSz)
-	abft.Gemm(guard, true, aFull, bFull, 0, cPart)
-	tm.Compute += time.Since(tg)
-	c.RecordAlloc(int64(8 * len(cPart.Data)))
-
-	// Reduce partial C across the k-sharers (column-split result).
-	ts := time.Now()
-	cIdx, cCnt := shareIndex(r, p.kSplitLevels[r], L)
-	cComm := c.Split(groupColor(r, p.kSplitLevels[r], L), cIdx)
-	cMine := reduceScatterColumns(cComm, cPart, cCnt, cIdx)
-	tm.Reduce += time.Since(ts)
-
-	tr = time.Now()
-	cUser := dist.Redistribute(c, p.CLayout, cMine, cLayout)
-	tm.Redistribute += time.Since(tr)
-	c.ReleaseAlloc(int64(8 * (len(aNat.Data) + len(bNat.Data) + len(aFull.Data) + len(bFull.Data) + len(cPart.Data))))
-	tm.Total = time.Since(t0)
-	return cUser, tm
-}
-
-// groupColor identifies the sharer group of a rank: the rank with the
-// mask's level bits cleared.
-func groupColor(rank, mask, L int) int {
-	color := rank
-	for ℓ := 0; ℓ < L; ℓ++ {
-		if mask&(1<<ℓ) != 0 {
-			color &^= 1 << (L - 1 - ℓ)
-		}
-	}
-	return color
-}
-
-// gatherColumnParts allgathers cnt column-split parts of a rows x cols
-// block and reassembles it. The k-split of A is by columns.
-func gatherColumnParts(comm *mpi.Comm, part *mat.Dense, rows, cols, cnt int) *mat.Dense {
-	if cnt == 1 {
-		return part
-	}
-	counts := make([]int, cnt)
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		counts[q] = rows * (hi - lo)
-	}
-	all := comm.Allgatherv(part.Pack(), counts)
-	full := mat.New(rows, cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		if counts[q] == 0 {
-			continue
-		}
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		full.View(0, lo, rows, hi-lo).Unpack(all[off : off+counts[q]])
-		off += counts[q]
-	}
-	return full
-}
-
-// gatherRowParts allgathers cnt row-split parts of a rows x cols block.
-func gatherRowParts(comm *mpi.Comm, part *mat.Dense, rows, cols, cnt int) *mat.Dense {
-	if cnt == 1 {
-		return part
-	}
-	counts := make([]int, cnt)
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(rows, cnt, q)
-		counts[q] = (hi - lo) * cols
-	}
-	all := comm.Allgatherv(part.Pack(), counts)
-	full := mat.New(rows, cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		if counts[q] == 0 {
-			continue
-		}
-		lo, hi := dist.BlockRange(rows, cnt, q)
-		full.View(lo, 0, hi-lo, cols).Unpack(all[off : off+counts[q]])
-		off += counts[q]
-	}
-	return full
-}
-
-// reduceScatterColumns reduce-scatters a partial block column-split
-// cnt ways; the caller keeps part idx.
-func reduceScatterColumns(comm *mpi.Comm, part *mat.Dense, cnt, idx int) *mat.Dense {
-	if cnt == 1 {
-		return part
-	}
-	rows, cols := part.Rows, part.Cols
-	counts := make([]int, cnt)
-	buf := make([]float64, rows*cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		counts[q] = rows * (hi - lo)
-		if counts[q] == 0 {
-			continue
-		}
-		part.View(0, lo, rows, hi-lo).PackInto(buf[off : off+counts[q]])
-		off += counts[q]
-	}
-	mine := comm.ReduceScatter(buf, counts)
-	lo, hi := dist.BlockRange(cols, cnt, idx)
-	out := mat.New(rowsIf(rows, hi-lo), hi-lo)
-	out.Unpack(mine)
-	return out
 }

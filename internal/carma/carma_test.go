@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/mpi"
@@ -20,7 +21,7 @@ func runCARMA(t testing.TB, pl *Plan, a, b *mat.Dense) *mat.Dense {
 	outs := make([]*mat.Dense, pl.P)
 	var mu sync.Mutex
 	_, err := mpi.Run(pl.P, func(c *mpi.Comm) {
-		cLoc, _ := pl.Execute(c, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
+		cLoc, _ := pl.Execute(c, core.Options{}, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
 		mu.Lock()
 		outs[c.Rank()] = cLoc
 		mu.Unlock()

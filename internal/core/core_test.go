@@ -295,7 +295,7 @@ func TestTimingsReported(t *testing.T) {
 		if tm.Redistribute <= 0 {
 			t.Errorf("rank %d: no redistribute time", c.Rank())
 		}
-		if tm.MatmulOnly() < 0 {
+		if tm.MatmulOnly < 0 {
 			t.Errorf("rank %d: negative matmul-only time", c.Rank())
 		}
 	})

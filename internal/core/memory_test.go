@@ -9,7 +9,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mat"
 	"repro/internal/mpi"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Tests for the Section V memory-control extension: capping the number
@@ -151,7 +151,7 @@ func TestUnifiedViewMatches1D(t *testing.T) {
 }
 
 func TestTraceRecordsStages(t *testing.T) {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder()
 	pl := mustPlan(t, 40, 40, 160, 8, false, false, Options{Trace: rec})
 	a := mat.Random(40, 160, 1)
 	b := mat.Random(160, 40, 2)

@@ -21,8 +21,7 @@ import (
 	"repro/internal/abft"
 	"repro/internal/dist"
 	"repro/internal/grid"
-	"repro/internal/mat"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Options configures plan construction.
@@ -87,63 +86,23 @@ type Options struct {
 	ReservedSpares int
 	// Trace, when non-nil, records a per-rank stage timeline of every
 	// execution (exportable as a Chrome trace).
-	Trace *trace.Recorder
+	Trace *obs.Recorder
 }
 
-// Plan holds everything precomputed for a CA3DMM multiplication of
-// fixed shape on a fixed number of processes: the process grid, the
-// role of every rank, and the native matrix layouts. Plans are
-// immutable and safe for concurrent use by all ranks.
+// Plan is the CA3DMM planner's result for a multiplication of fixed
+// shape on a fixed number of processes: the schedule (process grid,
+// every rank's groups and panel, native layouts) plus the quantities
+// the paper's analysis is written in. Plans are immutable and safe for
+// concurrent use by all ranks.
 type Plan struct {
-	M, N, K        int // dimensions of C = op(A)·op(B): C is MxN, k is the inner dim
-	TransA, TransB bool
-	P              int // world size (>= active processes)
+	*Schedule
 
-	G    grid.Grid
 	Crep int  // c: Cannon groups per k-task group (replication factor)
 	S    int  // s: side of each square Cannon group
 	RepA bool // true: A is replicated (pm <= pn); false: B is replicated
 
 	Opt Options
-
-	// Native layouts of op(A) (MxK), op(B) (KxN), and C (MxN) over all
-	// P world ranks. Idle ranks own nothing but participate in
-	// redistribution.
-	ALayout, BLayout, CLayout *dist.Explicit
 }
-
-// rankRole decodes a world rank's place in the 3D grid.
-type rankRole struct {
-	active bool
-	g      int // k-task group index (0..pk-1)
-	q      int // Cannon group index within the k-task group (0..c-1)
-	i, j   int // position in the s x s Cannon grid (row, col)
-}
-
-// role returns the role of world rank r. Ranks are organized
-// "column-major" as in the paper: all ranks of a k-task group are
-// contiguous, and within it all ranks of a Cannon group are
-// contiguous; within a Cannon group, local rank j*s+i sits at grid
-// position (i, j).
-func (p *Plan) role(r int) rankRole {
-	pmpn := p.G.Pm * p.G.Pn
-	if r >= pmpn*p.G.Pk {
-		return rankRole{}
-	}
-	g := r / pmpn
-	lr := r % pmpn
-	if p.S <= 0 {
-		// CA3DMM-S: the whole k-task group is one SUMMA grid; the
-		// Cannon position fields are unused.
-		return rankRole{active: true, g: g}
-	}
-	q := lr / (p.S * p.S)
-	pos := lr % (p.S * p.S)
-	return rankRole{active: true, g: g, q: q, i: pos % p.S, j: pos / p.S}
-}
-
-// ActiveProcs returns the number of non-idle processes, pm*pn*pk.
-func (p *Plan) ActiveProcs() int { return p.G.Procs() }
 
 // kRange returns k-task group g's slice of the k dimension.
 func (p *Plan) kRange(g int) (int, int) { return dist.BlockRange(p.K, p.G.Pk, g) }
@@ -172,11 +131,8 @@ func (p *Plan) nRange(q int) (int, int) {
 // transpose flags (which only affect how user matrices are
 // redistributed into the native layouts).
 func NewPlan(m, n, k, p int, transA, transB bool, opt Options) (*Plan, error) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("core: invalid dimensions %dx%dx%d", m, k, n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("core: invalid process count %d", p)
+	if err := CheckDims("core", m, n, k, p); err != nil {
+		return nil, err
 	}
 	g := opt.Grid
 	if g.Procs() == 0 {
@@ -221,98 +177,109 @@ func NewPlan(m, n, k, p int, transA, transB bool, opt Options) (*Plan, error) {
 	}
 
 	pl := &Plan{
-		M: m, N: n, K: k,
-		TransA: transA, TransB: transB,
-		P: p, G: g, Opt: opt,
-		RepA: g.Pm <= g.Pn,
+		Schedule: NewSchedule(m, n, k, p, transA, transB, g),
+		Opt:      opt,
+		RepA:     g.Pm <= g.Pn,
 	}
 	if opt.UseSUMMA {
 		// CA3DMM-S: one "Cannon group" spanning the whole pm x pn
 		// k-task group; no replication. S is unused.
 		pl.Crep, pl.S = 1, 0
+		pl.Kernel = KernelSUMMA
 	} else {
 		pl.Crep = g.CannonGroups()
 		pl.S = g.CannonSize()
+		pl.Kernel = KernelCannon
 	}
-	pl.buildLayouts()
+	if pl.Crep > 1 {
+		pl.Repl = ReplAllgather
+	}
+	for r := 0; r < g.Procs(); r++ {
+		if opt.UseSUMMA {
+			pl.planSUMMARank(r)
+		} else {
+			pl.planCannonRank(r)
+		}
+	}
 	return pl, nil
 }
 
-// buildLayouts constructs the native distributions of op(A), op(B),
-// and C. They satisfy the paper's invariants: exactly one copy of A
-// and B across all processes initially (the c-fold replication happens
-// later via allgather), 2D partitions, balanced per-rank storage, and
-// a final C that is 2D-partitioned across all active processes.
-func (p *Plan) buildLayouts() {
-	p.ALayout = dist.NewExplicit(p.M, p.K, p.P)
-	p.BLayout = dist.NewExplicit(p.K, p.N, p.P)
-	p.CLayout = dist.NewExplicit(p.M, p.N, p.P)
+// planCannonRank places rank r in the schedule and assigns its native
+// blocks. Ranks are organized "column-major" as in the paper: all ranks
+// of a k-task group g are contiguous, and within it all ranks of a
+// Cannon group q are contiguous; within a Cannon group, local rank
+// j*s+i sits at grid position (i, j). The layouts satisfy the paper's
+// invariants: exactly one copy of A and B across all processes
+// initially (the c-fold replication happens later via allgather), 2D
+// partitions, balanced per-rank storage, and a final C that is
+// 2D-partitioned across all active processes.
+func (p *Plan) planCannonRank(r int) {
+	s2 := p.S * p.S
+	g, lr := r/(p.G.Pm*p.G.Pn), r%(p.G.Pm*p.G.Pn)
+	q, pos := lr/s2, lr%s2
+	i, j := pos%p.S, pos/p.S
 
-	for r := 0; r < p.P; r++ {
-		role := p.role(r)
-		if !role.active {
-			continue
-		}
-		if p.Opt.UseSUMMA {
-			p.buildSUMMARankLayout(r, role)
-			continue
-		}
-		k0, k1 := p.kRange(role.g)
-		m0, m1 := p.mRange(role.q)
-		n0, n1 := p.nRange(role.q)
-		kg := k1 - k0
+	k0, k1 := p.kRange(g)
+	m0, m1 := p.mRange(q)
+	n0, n1 := p.nRange(q)
+	kg, mq, nq := k1-k0, m1-m0, n1-n0
 
+	rp := &p.Ranks[r]
+	rp.PanelM, rp.PanelK, rp.PanelN = mq, kg, nq
+	// Cannon's kernel addresses rank r as grid position (r/s, r%s),
+	// i.e. row-major; order the group that way.
+	rp.Inner = Group{Color: g*p.Crep + q, Key: i*p.S + j}
+	if p.Crep > 1 {
+		repl := Group{Color: g*s2 + pos, Key: q}
 		if p.RepA {
-			// A panel (M x kg) is partitioned s x s with Cannon's
-			// padded-uniform blocks; block (i,j) is column-split into
-			// c sub-blocks, one per Cannon group.
-			am, ak := ceilDiv(p.M, p.S), ceilDiv(kg, p.S)
-			ar0, ac0, arows, acols := clampBlock(role.i*am, role.j*ak, am, ak, p.M, kg)
-			sc0, sc1 := dist.BlockRange(acols, p.Crep, role.q)
-			p.ALayout.SetBlock(r, ar0, k0+ac0+sc0, boundRows(arows, sc1-sc0), sc1-sc0)
-
-			// B panel (kg x nq) for this Cannon group, s x s blocks,
-			// no replication.
-			nq := n1 - n0
-			bk, bn := ceilDiv(kg, p.S), ceilDiv(nq, p.S)
-			br0, bc0, brows, bcols := clampBlock(role.i*bk, role.j*bn, bk, bn, kg, nq)
-			p.BLayout.SetBlock(r, k0+br0, n0+bc0, brows, bcols)
-
-			// C block of this position, column-split pk ways; part g.
-			cr0, cc0, crows, ccols := clampBlock(role.i*am, role.j*bn, am, bn, p.M, nq)
-			cs0, cs1 := dist.BlockRange(ccols, p.G.Pk, role.g)
-			p.CLayout.SetBlock(r, cr0, n0+cc0+cs0, boundRows(crows, cs1-cs0), cs1-cs0)
+			rp.ARepl = repl
 		} else {
-			// B replicated: mirror image. A blocks are unsplit; B
-			// panel blocks (kg x N over s x s) are row-split c ways.
-			mq := m1 - m0
-			am, ak := ceilDiv(mq, p.S), ceilDiv(kg, p.S)
-			ar0, ac0, arows, acols := clampBlock(role.i*am, role.j*ak, am, ak, mq, kg)
-			p.ALayout.SetBlock(r, m0+ar0, k0+ac0, arows, acols)
-
-			bk, bn := ceilDiv(kg, p.S), ceilDiv(p.N, p.S)
-			br0, bc0, brows, bcols := clampBlock(role.i*bk, role.j*bn, bk, bn, kg, p.N)
-			sr0, sr1 := dist.BlockRange(brows, p.Crep, role.q)
-			p.BLayout.SetBlock(r, k0+br0+sr0, bc0, sr1-sr0, boundCols(bcols, sr1-sr0))
-
-			cr0, cc0, crows, ccols := clampBlock(role.i*am, role.j*bn, am, bn, mq, p.N)
-			cs0, cs1 := dist.BlockRange(ccols, p.G.Pk, role.g)
-			p.CLayout.SetBlock(r, m0+cr0, cc0+cs0, boundRows(crows, cs1-cs0), cs1-cs0)
+			rp.BRepl = repl
 		}
 	}
+	if p.G.Pk > 1 {
+		rp.CRed = Group{Color: q*s2 + pos, Key: g}
+	}
+
+	// Cannon's padded-uniform s x s partition of the group's A (mq x kg)
+	// and B (kg x nq) panels; the replicated matrix's block is further
+	// split c ways, by columns for A and by rows for B, one strip per
+	// Cannon group.
+	am, ak, bn := ceilDiv(mq, p.S), ceilDiv(kg, p.S), ceilDiv(nq, p.S)
+	ar0, ac0, arows, acols := clampBlock(i*am, j*ak, am, ak, mq, kg)
+	br0, bc0, brows, bcols := clampBlock(i*ak, j*bn, ak, bn, kg, nq)
+	if p.RepA {
+		lo, hi := dist.BlockRange(acols, p.Crep, q)
+		p.ALayout.SetBlock(r, ar0, k0+ac0+lo, dist.ZeroIf(arows, hi-lo), hi-lo)
+		p.BLayout.SetBlock(r, k0+br0, n0+bc0, brows, bcols)
+	} else {
+		lo, hi := dist.BlockRange(brows, p.Crep, q)
+		p.ALayout.SetBlock(r, m0+ar0, k0+ac0, arows, acols)
+		p.BLayout.SetBlock(r, k0+br0+lo, bc0, hi-lo, dist.ZeroIf(bcols, hi-lo))
+	}
+	// C block of this position, column-split pk ways; part g.
+	cr0, cc0, crows, ccols := clampBlock(i*am, j*bn, am, bn, mq, nq)
+	lo, hi := dist.BlockRange(ccols, p.G.Pk, g)
+	p.CLayout.SetBlock(r, m0+cr0, n0+cc0+lo, dist.ZeroIf(crows, hi-lo), hi-lo)
 }
 
-// buildSUMMARankLayout assigns the CA3DMM-S native blocks: plain 2D
-// partitions of A (pm x pk grid), B (pk x pn), and C (pm x pn,
-// column-split pk ways) — the natural SUMMA-compatible distribution.
-func (p *Plan) buildSUMMARankLayout(r int, role rankRole) {
-	// For CA3DMM-S the "Cannon group" position degenerates: local rank
-	// lr within the k-task group indexes a pm x pn grid column-major.
+// planSUMMARank is planCannonRank for CA3DMM-S: the k-task group is one
+// pm x pn SUMMA grid (local rank lr at column-major position
+// (lr%pm, lr/pm)) holding plain 2D partitions of its A and B panels,
+// and C is column-split pk ways as before.
+func (p *Plan) planSUMMARank(r int) {
 	pm, pn := p.G.Pm, p.G.Pn
-	lr := r % (pm * pn)
+	g, lr := r/(pm*pn), r%(pm*pn)
 	i, j := lr%pm, lr/pm
-	k0, k1 := p.kRange(role.g)
+	k0, k1 := p.kRange(g)
 	kg := k1 - k0
+
+	rp := &p.Ranks[r]
+	rp.PanelM, rp.PanelK, rp.PanelN = p.M, kg, p.N
+	rp.Inner = Group{Color: g, Key: i*pn + j} // row-major grid order for SUMMA
+	if p.G.Pk > 1 {
+		rp.CRed = Group{Color: lr, Key: g}
+	}
 
 	ar0, ar1 := dist.BlockRange(p.M, pm, i)
 	ac0, ac1 := dist.BlockRange(kg, pn, j)
@@ -322,10 +289,8 @@ func (p *Plan) buildSUMMARankLayout(r int, role rankRole) {
 	bc0, bc1 := dist.BlockRange(p.N, pn, j)
 	p.BLayout.SetBlock(r, k0+br0, bc0, br1-br0, bc1-bc0)
 
-	cr0, cr1 := dist.BlockRange(p.M, pm, i)
-	cc0, cc1 := dist.BlockRange(p.N, pn, j)
-	cs0, cs1 := dist.BlockRange(cc1-cc0, p.G.Pk, role.g)
-	p.CLayout.SetBlock(r, cr0, cc0+cs0, boundRows(cr1-cr0, cs1-cs0), cs1-cs0)
+	lo, hi := dist.BlockRange(bc1-bc0, p.G.Pk, g)
+	p.CLayout.SetBlock(r, ar0, bc0+lo, dist.ZeroIf(ar1-ar0, hi-lo), hi-lo)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -333,7 +298,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // memoryOfGrid evaluates the eq. (11) model (in bytes) for a candidate
 // grid without building the full plan.
 func memoryOfGrid(m, n, k int, g grid.Grid, useSUMMA bool) float64 {
-	probe := &Plan{M: m, N: n, K: k, G: g, RepA: g.Pm <= g.Pn}
+	probe := &Plan{Schedule: &Schedule{M: m, N: n, K: k, G: g}, RepA: g.Pm <= g.Pn}
 	if useSUMMA {
 		probe.Crep, probe.S = 1, 0
 	} else {
@@ -392,22 +357,6 @@ func clampBlock(r0, c0, rows, cols, R, C int) (int, int, int, int) {
 	return r0, c0, rows, cols
 }
 
-// boundRows zeroes the row count when the column count is zero so that
-// empty blocks are fully empty (keeps layout validation honest).
-func boundRows(rows, cols int) int {
-	if cols == 0 {
-		return 0
-	}
-	return rows
-}
-
-func boundCols(cols, rows int) int {
-	if rows == 0 {
-		return 0
-	}
-	return cols
-}
-
 // LowerBoundRatio returns the ratio of the plan's per-process
 // communication volume (by the surface measure of eq. 4, divided by
 // active processes) to the lower bound Q of eq. (9) — the "Comm.
@@ -455,5 +404,3 @@ func (p *Plan) MemoryModel() float64 {
 	}
 	return ab + float64(p.G.Pk)*mn/act
 }
-
-var _ = mat.New // keep the mat import stable as the package grows

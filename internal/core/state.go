@@ -4,65 +4,189 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cannon"
 	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/mpi"
+	"repro/internal/summa"
 )
 
-// ExecState is the per-rank persistent execution state of one plan: the
-// three split communicators, the redistribution route cache, and the
-// buffer arena. Building it performs the collective Splits once;
-// Execute can then run any number of multiplications of the plan's
+// ExecState is one rank's executor of a schedule: the split
+// communicators of the rank's groups, the resolved kernel
+// configuration and block shapes, the redistribution route cache, and
+// the buffer arena. Building it performs every collective Split once;
+// Execute can then run any number of multiplications of the schedule's
 // shape with zero planning, zero communicator construction, and (after
 // the first call) zero route building and allocation-flat buffers. It
-// is the engine-side counterpart of the reference implementation's
-// ca3dmm_engine: "plan once, multiply many".
+// is the counterpart of the reference implementation's ca3dmm_engine:
+// "plan once, multiply many".
 //
 // An ExecState is owned by a single rank goroutine and is not safe for
 // concurrent use. It holds no OS resources; dropping it releases
 // everything.
 type ExecState struct {
-	p     *Plan
-	world *mpi.Comm
-	role  rankRole
+	s      *Schedule
+	opt    Options
+	world  *mpi.Comm
+	active bool
 
-	kanComm, repComm, redComm *mpi.Comm
+	a, b       operand // how the rank's A and B blocks are completed
+	c          operand // how the kernel's partial C block is reduce-scattered
+	cRows      int     // the rank's block of the native C layout
+	cCols      int
+	inner      *mpi.Comm // the Cannon or SUMMA group
+	row, col   *mpi.Comm // SUMMA's panel-broadcast communicators within inner
+	cannon     cannon.Config
+	summa      summa.Config
+	kernelFlop int64
 
 	routes *dist.RouteCache
 	arena  *mat.Arena
+	held   int64 // bytes registered with RecordAlloc by the call in progress
 
-	calls   int
 	setupNs int64
 }
 
-// NewState builds the persistent state of p on the calling rank. It is
-// collective over c (three communicator splits).
-func (p *Plan) NewState(c *mpi.Comm) *ExecState {
-	if c.Size() != p.P {
-		panic(fmt.Sprintf("core: communicator size %d != plan size %d", c.Size(), p.P))
+// operand is one block of the rank's work cuboid and how it is shared:
+// an input block is completed from its sharers' strips, the partial C
+// block is summed across its sharers and each keeps one strip.
+type operand struct {
+	comm       *mpi.Comm // the block's sharers; nil when the rank holds it whole
+	rows, cols int       // the complete block
+	counts     []int     // elements of each sharer's strip
+	byCols     bool      // strips are column ranges (A, C) or row ranges (B)
+	padR, padC int       // Cannon's uniform padded shape (inputs only)
+}
+
+// stripRange returns the columns (A, C) or rows (B) of sharer q's strip.
+func (o *operand) stripRange(q int) (lo, hi int) {
+	if o.byCols {
+		return dist.BlockRange(o.cols, len(o.counts), q)
+	}
+	return dist.BlockRange(o.rows, len(o.counts), q)
+}
+
+// strip returns sharer q's part of the complete block.
+func (o *operand) strip(full *mat.Dense, q int) *mat.Dense {
+	lo, hi := o.stripRange(q)
+	if o.byCols {
+		return full.View(0, lo, o.rows, hi-lo)
+	}
+	return full.View(lo, 0, hi-lo, o.cols)
+}
+
+// resolve fixes the block shape and, when the block is shared, the
+// strip sizes of its collective.
+func (o *operand) resolve(rows, cols int) {
+	o.rows, o.cols = rows, cols
+	if o.comm == nil {
+		return
+	}
+	o.counts = make([]int, o.comm.Size())
+	for q := range o.counts {
+		lo, hi := o.stripRange(q)
+		if o.byCols {
+			o.counts[q] = rows * (hi - lo)
+		} else {
+			o.counts[q] = (hi - lo) * cols
+		}
+	}
+}
+
+// NewState builds the calling rank's executor of s. It is collective
+// over c: one communicator split per group kind the schedule uses, plus
+// SUMMA's row and column splits within the inner group.
+func NewState(c *mpi.Comm, s *Schedule, opt Options) *ExecState {
+	if c.Size() != s.P {
+		panic(fmt.Sprintf("core: communicator size %d != plan size %d", c.Size(), s.P))
 	}
 	t0 := time.Now()
-	role := p.role(c.Rank())
-	kanColor, kanKey, repColor, repKey, redColor, redKey := p.splitColors(c.Rank(), role)
+	rank := c.Rank()
+	rp := s.Ranks[rank]
 	st := &ExecState{
-		p:       p,
-		world:   c,
-		role:    role,
-		kanComm: c.Split(kanColor, kanKey),
-		repComm: c.Split(repColor, repKey),
-		redComm: c.Split(redColor, redKey),
-		routes:  dist.NewRouteCache(c.Rank()),
-		arena:   mat.NewArena(),
+		s: s, opt: opt, world: c,
+		active: rank < s.G.Procs(),
+		routes: dist.NewRouteCache(rank),
+		arena:  mat.NewArena(),
+	}
+	st.cRows, st.cCols = s.CLayout.LocalShape(rank)
+
+	// Split is collective, so a group kind is split by every rank (idle
+	// ones with the Undefined color) as soon as any rank is a member.
+	groups := func(rp *RankPlan) [4]Group { return [4]Group{rp.ARepl, rp.BRepl, rp.CRed, rp.Inner} }
+	var comms [4]*mpi.Comm
+	for i := range comms {
+		for r := range s.Ranks {
+			if groups(&s.Ranks[r])[i] != NoGroup {
+				g := groups(&rp)[i]
+				comms[i] = c.Split(g.Color, g.Key)
+				break
+			}
+		}
+	}
+	st.a = operand{comm: comms[0], byCols: true}
+	st.b = operand{comm: comms[1]}
+	st.c = operand{comm: comms[2], byCols: true}
+	st.inner = comms[3]
+
+	if st.active {
+		m, k, n := rp.PanelM, rp.PanelK, rp.PanelN
+		switch s.Kernel {
+		case KernelLocal:
+			st.a.resolve(m, k)
+			st.b.resolve(k, n)
+			st.c.resolve(m, n)
+			st.kernelFlop = 2 * int64(m) * int64(k) * int64(n)
+		case KernelCannon:
+			side := min(s.G.Pm, s.G.Pn)
+			st.cannon = cannon.Config{
+				S: side, M: m, K: k, N: n,
+				DualBuffer: opt.DualBuffer,
+				Overlap:    opt.Overlap,
+				MultiShift: opt.MultiShift,
+				MinKBlock:  opt.MinKBlock,
+			}
+			row, col := st.inner.Rank()/side, st.inner.Rank()%side
+			_, _, rows, cols := cannon.ABlockOwned(st.cannon, row, col)
+			st.a.resolve(rows, cols)
+			_, _, rows, cols = cannon.BBlockOwned(st.cannon, row, col)
+			st.b.resolve(rows, cols)
+			_, _, rows, cols = cannon.BlockOwned(st.cannon, row, col)
+			st.c.resolve(rows, cols)
+			am, ak, bn := st.cannon.BlockShape()
+			st.a.padR, st.a.padC, st.b.padR, st.b.padC = am, ak, ak, bn
+			// Each rank performs S local GEMMs of (am x ak)·(ak x bn)
+			// during the shift loop.
+			st.kernelFlop = 2 * int64(am) * int64(ak) * int64(bn) * int64(side)
+		case KernelSUMMA:
+			st.summa = summa.Config{
+				Pr: s.G.Pm, Pc: s.G.Pn, M: m, K: k, N: n,
+				Panel:    opt.SUMMAPanel,
+				Overlap:  opt.Overlap,
+				Prefetch: opt.OverlapDepth,
+			}
+			row, col := st.inner.Rank()/s.G.Pn, st.inner.Rank()%s.G.Pn
+			st.row = st.inner.Split(row, col)
+			st.col = st.inner.Split(col, row)
+			_, _, rows, cols := st.summa.ABlock(row, col)
+			st.a.resolve(rows, cols)
+			_, _, rows, cols = st.summa.BBlock(row, col)
+			st.b.resolve(rows, cols)
+			_, _, rows, cols = st.summa.CBlock(row, col)
+			st.c.resolve(rows, cols)
+			st.kernelFlop = 2 * int64(rows) * int64(cols) * int64(k)
+		}
 	}
 	st.setupNs = time.Since(t0).Nanoseconds()
 	return st
 }
 
-// Plan returns the plan this state executes.
-func (st *ExecState) Plan() *Plan { return st.p }
-
-// Calls returns how many multiplications this state has run.
-func (st *ExecState) Calls() int { return st.calls }
+// Execute runs the plan's schedule once on the calling rank with the
+// plan's options (see Schedule.Execute). Collective over c.
+func (p *Plan) Execute(c *mpi.Comm, aLocal *mat.Dense, aLayout dist.Layout,
+	bLocal *mat.Dense, bLayout dist.Layout, cLayout dist.Layout) (*mat.Dense, StageTimes) {
+	return p.Schedule.Execute(c, p.Opt, aLocal, aLayout, bLocal, bLayout, cLayout)
+}
 
 // SetupNs returns the cumulative nanoseconds spent on setup work this
 // state has amortized away: the communicator splits plus every
@@ -75,84 +199,3 @@ func (st *ExecState) RouteStats() (hits, misses int64) { return st.routes.Stats(
 // ArenaStats reports the buffer arena's cumulative hits and misses.
 // Once a shape reaches steady state the miss count stops growing.
 func (st *ExecState) ArenaStats() (hits, misses int64) { return st.arena.Stats() }
-
-// redist moves a block between layouts through the route cache. A cold
-// route runs the blocking sparse alltoallv (the exact traffic of the
-// one-shot path); a warm route under the Overlap option switches to
-// prefetched point-to-point traffic so packing overlaps communication.
-// Both schedules move identical rectangles, so the result is
-// element-identical either way.
-func (st *ExecState) redist(src dist.Layout, local *mat.Dense, dst dist.Layout, trans bool, into *mat.Dense, what string) *mat.Dense {
-	rt, hit := st.routes.Get(src, dst, trans)
-	if hit {
-		st.p.Opt.Trace.Instant(st.world.WorldRank(), "redist:route-hit", what)
-	} else {
-		st.p.Opt.Trace.Instant(st.world.WorldRank(), "redist:route-miss", what)
-	}
-	overlap := hit && st.p.Opt.Overlap
-	if into != nil {
-		if overlap {
-			return rt.ApplyOverlapInto(st.world, local, into, st.arena)
-		}
-		return rt.ApplyInto(st.world, local, into, st.arena)
-	}
-	if overlap {
-		return rt.ApplyOverlap(st.world, local, st.arena)
-	}
-	return rt.Apply(st.world, local, st.arena)
-}
-
-// Execute runs one multiplication through the persistent state. It is
-// Plan.Execute with the per-call setup replaced by the cached state:
-// same steps, same span names, same kernels, bit-identical results.
-//
-// aLocal and bLocal are the caller's blocks of the stored A and B
-// under aLayout and bLayout; cDst, when non-nil, is the caller-owned
-// destination block under cLayout (it is fully overwritten and
-// returned). When cDst is nil a fresh block is allocated — the only
-// per-call allocation that is not arena-recycled, since the caller
-// retains it across calls.
-func (st *ExecState) Execute(aLocal *mat.Dense, aLayout dist.Layout,
-	bLocal *mat.Dense, bLayout dist.Layout, cDst *mat.Dense, cLayout dist.Layout) (*mat.Dense, *Timings) {
-
-	p, c := st.p, st.world
-	checkUserLayout("A", aLayout, p.M, p.K, p.TransA, p.P)
-	checkUserLayout("B", bLayout, p.K, p.N, p.TransB, p.P)
-	checkUserLayout("C", cLayout, p.M, p.N, false, p.P)
-
-	tm := &Timings{}
-	t0 := time.Now()
-
-	tr := time.Now()
-	endSpan := p.Opt.Trace.Begin(c.WorldRank(), "redistribute-in")
-	aNat := st.redist(aLayout, aLocal, p.ALayout, p.TransA, nil, "A")
-	bNat := st.redist(bLayout, bLocal, p.BLayout, p.TransB, nil, "B")
-	endSpan()
-	tm.Redistribute += time.Since(tr)
-	natBytes := int64(8 * (len(aNat.Data) + len(bNat.Data)))
-	c.RecordAlloc(natBytes)
-
-	var cFinal *mat.Dense
-	if !st.role.active {
-		cr, cc := p.CLayout.LocalShape(c.Rank())
-		cFinal = st.arena.Get(cr, cc)
-		st.arena.Put(aNat)
-		st.arena.Put(bNat)
-	} else if p.Opt.UseSUMMA {
-		cFinal = p.executeSUMMA(st.kanComm, st.redComm, aNat, bNat, st.role, tm, c, st.arena)
-	} else {
-		cFinal = p.executeCannon(st.kanComm, st.repComm, st.redComm, aNat, bNat, st.role, tm, c, st.arena)
-	}
-
-	tr = time.Now()
-	endSpan = p.Opt.Trace.Begin(c.WorldRank(), "redistribute-out")
-	cUser := st.redist(p.CLayout, cFinal, cLayout, false, cDst, "C")
-	endSpan()
-	tm.Redistribute += time.Since(tr)
-	st.arena.Put(cFinal)
-
-	c.ReleaseAlloc(natBytes)
-	tm.Total = time.Since(t0)
-	st.calls++
-	return cUser, tm
-}

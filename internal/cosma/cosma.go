@@ -15,13 +15,10 @@ package cosma
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/abft"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
-	"repro/internal/mat"
-	"repro/internal/mpi"
 )
 
 // Options configures plan construction.
@@ -32,21 +29,13 @@ type Options struct {
 	LowerUtil float64
 }
 
-// Plan precomputes the grid, splitting steps, and native layouts.
+// Plan is the schedule (grid, groups, native layouts) plus COSMA's
+// splitting steps.
 type Plan struct {
-	M, N, K        int
-	TransA, TransB bool
-	P              int
-	G              grid.Grid
+	*core.Schedule
 	// Steps is the factorized splitting sequence (informational; the
-	// collectives below realize the same data movement).
+	// schedule's collectives realize the same data movement).
 	Steps []Step
-
-	ALayout, BLayout, CLayout *dist.Explicit
-
-	// ABFT guards the local GEMM steps with Huang–Abraham checksum
-	// protection (verify, correct in place, recompute locally).
-	ABFT abft.Options
 }
 
 // Step is one splitting step of the COSMA strategy.
@@ -55,22 +44,10 @@ type Step struct {
 	Parts int  // prime factor
 }
 
-// Timings is the per-rank stage breakdown.
-type Timings struct {
-	Redistribute time.Duration
-	Replicate    time.Duration
-	Compute      time.Duration
-	Reduce       time.Duration
-	Total        time.Duration
-}
-
 // NewPlan builds a COSMA-style plan.
 func NewPlan(m, n, k, p int, transA, transB bool, opt Options) (*Plan, error) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, fmt.Errorf("cosma: invalid dimensions %dx%dx%d", m, k, n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("cosma: invalid process count %d", p)
+	if err := core.CheckDims("cosma", m, n, k, p); err != nil {
+		return nil, err
 	}
 	g := opt.Grid
 	if g.Procs() == 0 {
@@ -85,7 +62,8 @@ func NewPlan(m, n, k, p int, transA, transB bool, opt Options) (*Plan, error) {
 	} else if g.Procs() > p {
 		return nil, fmt.Errorf("cosma: forced grid %v needs %d > %d processes", g, g.Procs(), p)
 	}
-	pl := &Plan{M: m, N: n, K: k, P: p, G: g, TransA: transA, TransB: transB}
+	pl := &Plan{Schedule: core.NewSchedule(m, n, k, p, transA, transB, g)}
+	pl.Repl = core.ReplAllgather
 	// Factorize the grid into splitting steps, largest dimension
 	// first (COSMA generalizes CARMA's bisection to multi-way splits).
 	for _, f := range grid.Factorize(g.Pk) {
@@ -97,138 +75,46 @@ func NewPlan(m, n, k, p int, transA, transB bool, opt Options) (*Plan, error) {
 	for _, f := range grid.Factorize(g.Pn) {
 		pl.Steps = append(pl.Steps, Step{Dim: 'n', Parts: f})
 	}
-	pl.buildLayouts()
+	for r := 0; r < g.Procs(); r++ {
+		pl.planRank(r)
+	}
 	return pl, nil
 }
 
-// ActiveProcs returns pm*pn*pk.
-func (p *Plan) ActiveProcs() int { return p.G.Procs() }
+// planRank places rank r at position (i, j, g) of the pm x pn x pk grid
+// (k-task group outermost, matching CA3DMM) and assigns its native
+// blocks, which hold exactly one copy of A and B: the A block (mi, kg)
+// needed by the pn ranks of a row is column-split pn ways; the B block
+// (kg, nj) is row-split pm ways; the final C block (mi, nj) is
+// column-split pk ways. COSMA completes all input replication before
+// any local computation ("COSMA first replicates A and/or B ... then
+// calculates one local matrix multiplication").
+func (p *Plan) planRank(r int) {
+	pm, pn, pk := p.G.Pm, p.G.Pn, p.G.Pk
+	g, lr := r/(pm*pn), r%(pm*pn)
+	i, j := lr%pm, lr/pm
+	m0, m1 := dist.BlockRange(p.M, pm, i)
+	n0, n1 := dist.BlockRange(p.N, pn, j)
+	k0, k1 := dist.BlockRange(p.K, pk, g)
 
-// role decodes a rank: (i, j, g) position in the pm x pn x pk grid.
-// Ranks are ordered with the k-task group outermost, matching CA3DMM.
-func (p *Plan) role(r int) (i, j, g int, active bool) {
-	pmpn := p.G.Pm * p.G.Pn
-	if r >= pmpn*p.G.Pk {
-		return 0, 0, 0, false
+	rp := &p.Ranks[r]
+	rp.PanelM, rp.PanelK, rp.PanelN = m1-m0, k1-k0, n1-n0
+	if pn > 1 {
+		rp.ARepl = core.Group{Color: g*pm + i, Key: j} // same (g,i): A sharers across j
 	}
-	g = r / pmpn
-	lr := r % pmpn
-	return lr % p.G.Pm, lr / p.G.Pm, g, true
-}
-
-// buildLayouts assigns native distributions holding exactly one copy
-// of A and B: the A block (mi, kg) needed by the pn ranks of a row is
-// column-split pn ways; the B block (kg, nj) is row-split pm ways; the
-// final C block (mi, nj) is column-split pk ways.
-func (p *Plan) buildLayouts() {
-	p.ALayout = dist.NewExplicit(p.M, p.K, p.P)
-	p.BLayout = dist.NewExplicit(p.K, p.N, p.P)
-	p.CLayout = dist.NewExplicit(p.M, p.N, p.P)
-	for r := 0; r < p.P; r++ {
-		i, j, g, active := p.role(r)
-		if !active {
-			continue
-		}
-		m0, m1 := dist.BlockRange(p.M, p.G.Pm, i)
-		n0, n1 := dist.BlockRange(p.N, p.G.Pn, j)
-		k0, k1 := dist.BlockRange(p.K, p.G.Pk, g)
-
-		alo, ahi := dist.BlockRange(k1-k0, p.G.Pn, j)
-		p.ALayout.SetBlock(r, m0, k0+alo, rowsIf(m1-m0, ahi-alo), ahi-alo)
-
-		blo, bhi := dist.BlockRange(k1-k0, p.G.Pm, i)
-		p.BLayout.SetBlock(r, k0+blo, n0, bhi-blo, colsIf(n1-n0, bhi-blo))
-
-		clo, chi := dist.BlockRange(n1-n0, p.G.Pk, g)
-		p.CLayout.SetBlock(r, m0, n0+clo, rowsIf(m1-m0, chi-clo), chi-clo)
+	if pm > 1 {
+		rp.BRepl = core.Group{Color: g*pn + j, Key: i} // same (g,j): B sharers across i
 	}
-}
-
-func rowsIf(rows, cols int) int {
-	if cols == 0 {
-		return 0
-	}
-	return rows
-}
-
-func colsIf(cols, rows int) int {
-	if rows == 0 {
-		return 0
-	}
-	return cols
-}
-
-// Execute runs the COSMA-style schedule: redistribute inputs,
-// allgather-replicate A across process rows and B across process
-// columns, one local multiplication, reduce-scatter partial C across
-// k-task groups, redistribute the result.
-func (p *Plan) Execute(c *mpi.Comm, aLocal *mat.Dense, aLayout dist.Layout,
-	bLocal *mat.Dense, bLayout dist.Layout, cLayout dist.Layout) (*mat.Dense, *Timings) {
-
-	if c.Size() != p.P {
-		panic(fmt.Sprintf("cosma: communicator size %d != plan size %d", c.Size(), p.P))
-	}
-	tm := &Timings{}
-	guard := abft.New(p.ABFT, c)
-	defer guard.Finish()
-	t0 := time.Now()
-
-	tr := time.Now()
-	aNat := dist.RedistributeOp(c, aLayout, aLocal, p.ALayout, p.TransA)
-	bNat := dist.RedistributeOp(c, bLayout, bLocal, p.BLayout, p.TransB)
-	tm.Redistribute += time.Since(tr)
-	c.RecordAlloc(int64(8 * (len(aNat.Data) + len(bNat.Data))))
-
-	i, j, g, active := p.role(c.Rank())
-	aColor, aKey := mpi.Undefined, 0
-	bColor, bKey := mpi.Undefined, 0
-	cColor, cKey := mpi.Undefined, 0
-	if active {
-		aColor, aKey = g*p.G.Pm+i, j // same (g,i): A sharers across j
-		bColor, bKey = g*p.G.Pn+j, i // same (g,j): B sharers across i
-		cColor, cKey = i*p.G.Pn+j, g // same (i,j): C partials across g
-	}
-	aComm := c.Split(aColor, aKey)
-	bComm := c.Split(bColor, bKey)
-	cComm := c.Split(cColor, cKey)
-
-	var cMine *mat.Dense
-	if active {
-		m0, m1 := dist.BlockRange(p.M, p.G.Pm, i)
-		n0, n1 := dist.BlockRange(p.N, p.G.Pn, j)
-		k0, k1 := dist.BlockRange(p.K, p.G.Pk, g)
-		mSz, nSz, kSz := m1-m0, n1-n0, k1-k0
-
-		// Replicate: COSMA completes all input replication before any
-		// local computation ("COSMA first replicates A and/or B ...
-		// then calculates one local matrix multiplication").
-		ta := time.Now()
-		aFull := gatherColumnParts(aComm, aNat, mSz, kSz, p.G.Pn)
-		bFull := gatherRowParts(bComm, bNat, kSz, nSz, p.G.Pm)
-		tm.Replicate += time.Since(ta)
-		c.RecordAlloc(int64(8 * (len(aFull.Data) + len(bFull.Data))))
-
-		tg := time.Now()
-		cPart := mat.New(mSz, nSz)
-		abft.Gemm(guard, true, aFull, bFull, 0, cPart)
-		tm.Compute += time.Since(tg)
-		c.RecordAlloc(int64(8 * len(cPart.Data)))
-
-		ts := time.Now()
-		cMine = reduceScatterColumns(cComm, cPart, p.G.Pk, g)
-		tm.Reduce += time.Since(ts)
-		c.ReleaseAlloc(int64(8 * (len(aFull.Data) + len(bFull.Data) + len(cPart.Data))))
-	} else {
-		cr, cc := p.CLayout.LocalShape(c.Rank())
-		cMine = mat.New(cr, cc)
+	if pk > 1 {
+		rp.CRed = core.Group{Color: i*pn + j, Key: g} // same (i,j): C partials across g
 	}
 
-	tr = time.Now()
-	cUser := dist.Redistribute(c, p.CLayout, cMine, cLayout)
-	tm.Redistribute += time.Since(tr)
-	c.ReleaseAlloc(int64(8 * (len(aNat.Data) + len(bNat.Data))))
-	tm.Total = time.Since(t0)
-	return cUser, tm
+	lo, hi := dist.BlockRange(k1-k0, pn, j)
+	p.ALayout.SetBlock(r, m0, k0+lo, dist.ZeroIf(m1-m0, hi-lo), hi-lo)
+	lo, hi = dist.BlockRange(k1-k0, pm, i)
+	p.BLayout.SetBlock(r, k0+lo, n0, hi-lo, dist.ZeroIf(n1-n0, hi-lo))
+	lo, hi = dist.BlockRange(n1-n0, pk, g)
+	p.CLayout.SetBlock(r, m0, n0+lo, dist.ZeroIf(m1-m0, hi-lo), hi-lo)
 }
 
 // MemoryModel returns COSMA's per-process memory in elements: fully
@@ -241,77 +127,4 @@ func (p *Plan) MemoryModel() float64 {
 	// A block (m/pm)(k/pk) = mk*pn/P; B block kn*pm/P; partial C
 	// mn*pk/P; plus the one-copy natives.
 	return (mk*float64(p.G.Pn) + kn*float64(p.G.Pm) + mn*float64(p.G.Pk)) / act
-}
-
-// gatherColumnParts, gatherRowParts, and reduceScatterColumns mirror
-// the CARMA helpers; COSMA's multi-way steps compose the same traffic.
-
-func gatherColumnParts(comm *mpi.Comm, part *mat.Dense, rows, cols, cnt int) *mat.Dense {
-	if cnt == 1 {
-		return part
-	}
-	counts := make([]int, cnt)
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		counts[q] = rows * (hi - lo)
-	}
-	all := comm.Allgatherv(part.Pack(), counts)
-	full := mat.New(rows, cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		if counts[q] == 0 {
-			continue
-		}
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		full.View(0, lo, rows, hi-lo).Unpack(all[off : off+counts[q]])
-		off += counts[q]
-	}
-	return full
-}
-
-func gatherRowParts(comm *mpi.Comm, part *mat.Dense, rows, cols, cnt int) *mat.Dense {
-	if cnt == 1 {
-		return part
-	}
-	counts := make([]int, cnt)
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(rows, cnt, q)
-		counts[q] = (hi - lo) * cols
-	}
-	all := comm.Allgatherv(part.Pack(), counts)
-	full := mat.New(rows, cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		if counts[q] == 0 {
-			continue
-		}
-		lo, hi := dist.BlockRange(rows, cnt, q)
-		full.View(lo, 0, hi-lo, cols).Unpack(all[off : off+counts[q]])
-		off += counts[q]
-	}
-	return full
-}
-
-func reduceScatterColumns(comm *mpi.Comm, part *mat.Dense, cnt, idx int) *mat.Dense {
-	if cnt == 1 {
-		return part
-	}
-	rows, cols := part.Rows, part.Cols
-	counts := make([]int, cnt)
-	buf := make([]float64, rows*cols)
-	off := 0
-	for q := 0; q < cnt; q++ {
-		lo, hi := dist.BlockRange(cols, cnt, q)
-		counts[q] = rows * (hi - lo)
-		if counts[q] == 0 {
-			continue
-		}
-		part.View(0, lo, rows, hi-lo).PackInto(buf[off : off+counts[q]])
-		off += counts[q]
-	}
-	mine := comm.ReduceScatter(buf, counts)
-	lo, hi := dist.BlockRange(cols, cnt, idx)
-	out := mat.New(rowsIf(rows, hi-lo), hi-lo)
-	out.Unpack(mine)
-	return out
 }

@@ -100,6 +100,12 @@ func TestScatterAssembleRoundTrip(t *testing.T) {
 	}
 }
 
+// redistribute converts a distributed matrix between layouts the way
+// every caller does: one transient route, applied cold.
+func redistribute(c *mpi.Comm, src Layout, local *mat.Dense, dst Layout, trans bool) *mat.Dense {
+	return BuildRoute(src, dst, trans, c.Rank()).Apply(c, local, nil)
+}
+
 // runRedist scatters g by src, redistributes to dst inside an mpi run,
 // and checks assembly matches want.
 func runRedist(t *testing.T, g *mat.Dense, src, dst Layout, trans bool, want *mat.Dense) {
@@ -109,7 +115,7 @@ func runRedist(t *testing.T, g *mat.Dense, src, dst Layout, trans bool, want *ma
 	outs := make([]*mat.Dense, p)
 	var mu sync.Mutex
 	_, err := mpi.Run(p, func(c *mpi.Comm) {
-		out := RedistributeOp(c, src, locals[c.Rank()], dst, trans)
+		out := redistribute(c, src, locals[c.Rank()], dst, trans)
 		mu.Lock()
 		outs[c.Rank()] = out
 		mu.Unlock()
@@ -188,7 +194,7 @@ func TestRedistributeShapeMismatchPanics(t *testing.T) {
 		if c.Rank() == 1 {
 			local = mat.New(3, 4)
 		}
-		RedistributeOp(c, Block1DRow{R: 6, C: 4, P: 2}, local, Block1DRow{R: 6, C: 5, P: 2}, false)
+		redistribute(c, Block1DRow{R: 6, C: 4, P: 2}, local, Block1DRow{R: 6, C: 5, P: 2}, false)
 	})
 	if err == nil {
 		t.Fatal("expected global-shape mismatch error")
@@ -197,7 +203,7 @@ func TestRedistributeShapeMismatchPanics(t *testing.T) {
 
 func TestRedistributeWrongLocalPanics(t *testing.T) {
 	_, err := mpi.Run(2, func(c *mpi.Comm) {
-		RedistributeOp(c, Block1DRow{R: 6, C: 4, P: 2}, mat.New(1, 1), Block1DCol{R: 6, C: 4, P: 2}, false)
+		redistribute(c, Block1DRow{R: 6, C: 4, P: 2}, mat.New(1, 1), Block1DCol{R: 6, C: 4, P: 2}, false)
 	})
 	if err == nil {
 		t.Fatal("expected local-shape mismatch error")
@@ -258,8 +264,8 @@ func TestRedistributeRoundTripProperty(t *testing.T) {
 		finals := make([]*mat.Dense, p)
 		var mu sync.Mutex
 		_, err := mpi.Run(p, func(c *mpi.Comm) {
-			mid := Redistribute(c, src, locals[c.Rank()], dst)
-			back := Redistribute(c, dst, mid, src)
+			mid := redistribute(c, src, locals[c.Rank()], dst, false)
+			back := redistribute(c, dst, mid, src, false)
 			mu.Lock()
 			mids[c.Rank()] = mid
 			finals[c.Rank()] = back

@@ -47,8 +47,8 @@ func FuzzRedistribute(f *testing.F) {
 		outs := make([]*mat.Dense, p)
 		var mu sync.Mutex
 		_, err := mpi.Run(p, func(c *mpi.Comm) {
-			mid := Redistribute(c, src, locals[c.Rank()], dst)
-			back := Redistribute(c, dst, mid, src)
+			mid := redistribute(c, src, locals[c.Rank()], dst, false)
+			back := redistribute(c, dst, mid, src, false)
 			mu.Lock()
 			outs[c.Rank()] = back
 			mu.Unlock()

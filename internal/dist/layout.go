@@ -43,6 +43,16 @@ func BlockRange(n, p, i int) (lo, hi int) {
 	return i * n / p, (i + 1) * n / p
 }
 
+// ZeroIf returns v, or zero when gate is zero. Planners size one extent
+// of a block with it so that a block empty in the other extent is
+// recorded fully empty (0 x 0), which keeps layout validation honest.
+func ZeroIf(v, gate int) int {
+	if gate == 0 {
+		return 0
+	}
+	return v
+}
+
 // Block1DRow partitions rows into P balanced contiguous blocks; rank i
 // owns rows [i*R/P, (i+1)*R/P).
 type Block1DRow struct {

@@ -5,39 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mat"
-	"repro/internal/mpi"
 )
-
-// Redistribute converts a distributed matrix from layout src to layout
-// dst, returning the caller's new local buffer. It is collective over
-// c; every rank passes its local block of the source matrix (which may
-// be empty). Both layouts must span c.Size() ranks and describe the
-// same global shape.
-//
-// This is the "small subroutine to redistribute the input A and B
-// matrices from user-defined distributions to CA3DMM initial
-// distributions" of the paper: pack matrix blocks, exchange with an
-// alltoallv, unpack.
-func Redistribute(c *mpi.Comm, src Layout, local *mat.Dense, dst Layout) *mat.Dense {
-	return RedistributeOp(c, src, local, dst, false)
-}
-
-// RedistributeOp is Redistribute with an optional transpose folded in:
-// when trans is true, dst describes the layout of the transpose of the
-// source matrix, and the exchanged data is transposed in flight. This
-// is how CA3DMM "utilizes the redistribution steps of A and B for
-// computing C = op(A) x op(B)".
-func RedistributeOp(c *mpi.Comm, src Layout, local *mat.Dense, dst Layout, trans bool) *mat.Dense {
-	if p := c.Size(); src.Procs() != p || dst.Procs() != p {
-		panic(fmt.Sprintf("dist: layout spans %d/%d ranks, communicator has %d", src.Procs(), dst.Procs(), p))
-	}
-	// A transient route: the intersection enumeration (canonical order:
-	// source piece outer, destination piece inner, no headers needed)
-	// lives in BuildRoute so persistent callers can cache it; the
-	// sparse neighbor alltoallv (the reference implementation's
-	// MPI_Neighbor_alltoallv) moves only non-empty buffers.
-	return BuildRoute(src, dst, trans, c.Rank()).Apply(c, local, nil)
-}
 
 // pieceInDstCoords maps a source piece into destination coordinates
 // (identity, or transposed when the op is a transpose).

@@ -41,9 +41,12 @@ type unpackRect struct {
 // message exchange, so a cached route amortizes the enumeration to
 // zero on iterative workloads (the tentpole of the persistent engine).
 //
-// The enumeration order (source piece outer, destination piece inner)
-// and therefore the exchanged bytes are identical to RedistributeOp's,
-// which is itself a thin wrapper over a transient Route.
+// This is the "small subroutine to redistribute the input A and B
+// matrices from user-defined distributions to CA3DMM initial
+// distributions" of the paper — pack matrix blocks, exchange with an
+// alltoallv, unpack — with the transpose of op() folded into the
+// exchange. The enumeration is canonical (source piece outer,
+// destination piece inner), so no headers travel with the data.
 type Route struct {
 	Src, Dst Layout
 	Trans    bool
@@ -61,8 +64,7 @@ type Route struct {
 
 // BuildRoute computes the redistribution route of one rank between two
 // layouts (dst describing the transpose of the source matrix when
-// trans is set). Panics on shape or span disagreements, mirroring
-// RedistributeOp.
+// trans is set). Panics on shape or span disagreements.
 func BuildRoute(src Layout, dst Layout, trans bool, rank int) *Route {
 	t0 := time.Now()
 	p := src.Procs()
@@ -204,9 +206,9 @@ func (rt *Route) checkOut(out *mat.Dense) {
 
 // Apply executes the route with the blocking sparse alltoallv — the
 // path of the one-shot facade and of a persistent engine's first
-// (cold) call, byte-identical to RedistributeOp. Send buffers and the
-// output are drawn from ar when non-nil; the send buffers are returned
-// to it before Apply returns (the runtime copies payloads on send).
+// (cold) call. Send buffers and the output are drawn from ar when
+// non-nil; the send buffers are returned to it before Apply returns
+// (the runtime copies payloads on send).
 func (rt *Route) Apply(c *mpi.Comm, local *mat.Dense, ar *mat.Arena) *mat.Dense {
 	return rt.ApplyInto(c, local, ar.Get(rt.outR, rt.outC), ar)
 }

@@ -1,7 +1,7 @@
 package dist
 
-// TransferVolume computes the communication volume a Redistribute from
-// src to dst would generate: the total number of matrix elements that
+// TransferVolume computes the communication volume a route from src
+// to dst generates: the total number of matrix elements that
 // change ranks and the number of point-to-point messages carrying
 // them. Self-intersections (data already on its destination rank) are
 // excluded, matching the runtime — NeighborAlltoallv copies the self
@@ -13,8 +13,8 @@ func TransferVolume(src, dst Layout) (elems, msgs int64) {
 	return TransferVolumeOp(src, dst, false)
 }
 
-// TransferVolumeOp is TransferVolume for a RedistributeOp with a
-// transpose folded in: dst describes the layout of the transpose of
+// TransferVolumeOp is TransferVolume for a route with a transpose
+// folded in: dst describes the layout of the transpose of
 // the source matrix.
 func TransferVolumeOp(src, dst Layout, trans bool) (elems, msgs int64) {
 	p := src.Procs()

@@ -13,7 +13,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/mpi"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // OverlapResult is one problem class measured with the blocking and
@@ -56,7 +56,7 @@ type timeSplit struct {
 	comm, hidden, gemm, frac float64
 }
 
-func splitReport(rec *trace.Recorder) timeSplit {
+func splitReport(rec *obs.Recorder) timeSplit {
 	rep := rec.BuildReport()
 	var s timeSplit
 	var busy float64
@@ -113,7 +113,7 @@ func runOverlapClass(cl Class, p, reps int) (OverlapResult, error) {
 	// one timed execution: worst rank's matmul-only time, and the obs
 	// report's comm/gemm/hidden split. Both modes carry a recorder, so
 	// the recording overhead cancels out of the comparison.
-	execute := func(pl *core.Plan, rec *trace.Recorder) (*mat.Dense, time.Duration, error) {
+	execute := func(pl *core.Plan, rec *obs.Recorder) (*mat.Dense, time.Duration, error) {
 		outs := make([]*mat.Dense, p)
 		var worst time.Duration
 		var mu sync.Mutex
@@ -121,7 +121,7 @@ func runOverlapClass(cl Class, p, reps int) (OverlapResult, error) {
 			out, tm := pl.Execute(c, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
 			mu.Lock()
 			outs[c.Rank()] = out
-			if mo := tm.MatmulOnly(); mo > worst {
+			if mo := tm.MatmulOnly; mo > worst {
 				worst = mo
 			}
 			mu.Unlock()
@@ -142,7 +142,7 @@ func runOverlapClass(cl Class, p, reps int) (OverlapResult, error) {
 			// The plan is rebuilt per repetition so its stage spans land
 			// on that repetition's recorder (the comm/GEMM split needs
 			// stage attribution, not just the runtime's comm spans).
-			rec := trace.NewRecorder()
+			rec := obs.NewRecorder()
 			pl, err := core.NewPlan(cl.M, cl.N, cl.K, p, false, false,
 				core.Options{DualBuffer: true, Overlap: overlap, Trace: rec})
 			if err != nil {

@@ -52,61 +52,41 @@ func runReal(alg string, cl Class, p int) (RealResult, error) {
 	res := RealResult{Alg: alg, Class: cl.Name, Procs: p}
 	var mu sync.Mutex
 
-	var body func(c *mpi.Comm)
+	var (
+		sched *core.Schedule
+		opt   core.Options
+		err   error
+	)
 	switch alg {
 	case "ca3dmm":
-		pl, err := core.NewPlan(cl.M, cl.N, cl.K, p, false, false, core.Options{DualBuffer: true})
-		if err != nil {
-			return res, err
-		}
-		body = func(c *mpi.Comm) {
-			out, tm := pl.Execute(c, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
-			mu.Lock()
-			outs[c.Rank()] = out
-			if tm.MatmulOnly() > res.MatmulOnly {
-				res.MatmulOnly = tm.MatmulOnly()
-			}
-			if tm.Total > res.Total {
-				res.Total = tm.Total
-			}
-			mu.Unlock()
+		var pl *core.Plan
+		opt = core.Options{DualBuffer: true}
+		if pl, err = core.NewPlan(cl.M, cl.N, cl.K, p, false, false, opt); err == nil {
+			sched = pl.Schedule
 		}
 	case "cosma":
-		pl, err := cosma.NewPlan(cl.M, cl.N, cl.K, p, false, false, cosma.Options{})
-		if err != nil {
-			return res, err
-		}
-		body = func(c *mpi.Comm) {
-			out, tm := pl.Execute(c, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
-			mu.Lock()
-			outs[c.Rank()] = out
-			if mo := tm.Total - tm.Redistribute; mo > res.MatmulOnly {
-				res.MatmulOnly = mo
-			}
-			if tm.Total > res.Total {
-				res.Total = tm.Total
-			}
-			mu.Unlock()
+		var pl *cosma.Plan
+		if pl, err = cosma.NewPlan(cl.M, cl.N, cl.K, p, false, false, cosma.Options{}); err == nil {
+			sched = pl.Schedule
 		}
 	case "ctf":
-		pl, err := c25d.NewPlan(cl.M, cl.N, cl.K, p, false, false)
-		if err != nil {
-			return res, err
-		}
-		body = func(c *mpi.Comm) {
-			out, tm := pl.Execute(c, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
-			mu.Lock()
-			outs[c.Rank()] = out
-			if mo := tm.Total - tm.Redistribute; mo > res.MatmulOnly {
-				res.MatmulOnly = mo
-			}
-			if tm.Total > res.Total {
-				res.Total = tm.Total
-			}
-			mu.Unlock()
+		var pl *c25d.Plan
+		if pl, err = c25d.NewPlan(cl.M, cl.N, cl.K, p, false, false); err == nil {
+			sched = pl.Schedule
 		}
 	default:
-		return res, fmt.Errorf("experiments: unknown algorithm %q", alg)
+		err = fmt.Errorf("experiments: unknown algorithm %q", alg)
+	}
+	if err != nil {
+		return res, err
+	}
+	body := func(c *mpi.Comm) {
+		out, tm := sched.Execute(c, opt, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
+		mu.Lock()
+		outs[c.Rank()] = out
+		res.MatmulOnly = max(res.MatmulOnly, tm.MatmulOnly)
+		res.Total = max(res.Total, tm.Total)
+		mu.Unlock()
 	}
 
 	rep, err := mpi.Run(p, body)
@@ -206,7 +186,7 @@ func RealGridSweep(w io.Writer) error {
 			out, tm := pl.Execute(c, aLocs[c.Rank()], aL, bLocs[c.Rank()], bL, cL)
 			mu.Lock()
 			outs[c.Rank()] = out
-			if mo := tm.MatmulOnly(); mo > worst {
+			if mo := tm.MatmulOnly; mo > worst {
 				worst = mo
 			}
 			mu.Unlock()

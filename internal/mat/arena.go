@@ -20,9 +20,11 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{free: make(map[int][][]float64)} }
 
 // GetSlice returns a zeroed slice of length n, recycled when a slab of
-// that exact length is free.
+// that exact length is free. Empty slices (the blocks of idle ranks)
+// are not slabs: PutSlice drops them, so they bypass the free list and
+// its counters here too.
 func (a *Arena) GetSlice(n int) []float64 {
-	if a == nil {
+	if a == nil || n == 0 {
 		return make([]float64, n)
 	}
 	if l := a.free[n]; len(l) > 0 {

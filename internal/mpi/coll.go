@@ -169,6 +169,17 @@ func (c *Comm) allgatherRecDouble(send []float64) []float64 {
 	return out
 }
 
+// abortBlock aborts a ring collective that received a block of the
+// wrong length. The ring sends its p-1 blocks to the same neighbor
+// under one tag, so — the local arguments having been validated on
+// entry — this is what a delayed or reordered message looks like when
+// the blocks are uneven. It is a recoverable failure of the epoch, not
+// a misuse abort: a self-healing executor retries in a fresh one.
+func (c *Comm) abortBlock(op string, block, got, want int) {
+	c.abort(fmt.Errorf("mpi: rank %d (comm %q): %s block %d length %d != counts %d (reordered traffic or mismatched counts): %w",
+		c.rank, c.ctx, op, block, got, want, ErrRevoked))
+}
+
 func (c *Comm) allgathervRing(send []float64, counts []int) []float64 {
 	p := c.Size()
 	tag := c.nextCollTag()
@@ -186,8 +197,7 @@ func (c *Comm) allgathervRing(send []float64, counts []int) []float64 {
 		c.csend(right, tag, out[offs[outIdx]:offs[outIdx+1]], "allgather")
 		got := c.crecv(left, tag, "allgather")
 		if len(got) != counts[inIdx] {
-			c.w.fail(fmt.Errorf("mpi: rank %d: Allgatherv block %d length %d != counts %d",
-				c.rank, inIdx, len(got), counts[inIdx]))
+			c.abortBlock("Allgatherv", inIdx, len(got), counts[inIdx])
 		}
 		copy(out[offs[inIdx]:offs[inIdx+1]], got)
 	}
@@ -231,8 +241,7 @@ func (c *Comm) ReduceScatter(send []float64, counts []int) []float64 {
 		c.csend(right, tag, work[offs[outIdx]:offs[outIdx+1]], "reduce_scatter")
 		got := c.crecv(left, tag, "reduce_scatter")
 		if len(got) != counts[inIdx] {
-			c.w.fail(fmt.Errorf("mpi: rank %d: ReduceScatter block %d length %d != counts %d",
-				c.rank, inIdx, len(got), counts[inIdx]))
+			c.abortBlock("ReduceScatter", inIdx, len(got), counts[inIdx])
 		}
 		dst := work[offs[inIdx]:offs[inIdx+1]]
 		for i, v := range got {

@@ -56,7 +56,8 @@ type Comm struct {
 	stats      *Stats
 	timeout    time.Duration
 	worldRank  int
-	collSeq    int // per-rank collective sequence counter
+	collSeq    int // per-rank collective sequence counter (the collective's identity)
+	tagSeq     int // collectives since the last ResetCollTags (their message tags)
 	splitSeq   int // per-rank split counter
 	agreeSeq   int // per-rank agreement counter
 	shrinkSeq  int // per-rank shrink counter
@@ -66,6 +67,7 @@ type Comm struct {
 	obs        *obs.Recorder // nil when observability is off
 	epoch      int           // causal epoch: 0 for the world, bumped by Shrink
 	async      bool          // clone driven by a background goroutine, not the rank owner
+	ctl        bool          // inside Split's exchange: control traffic, exempt from message-mutating faults
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -344,10 +346,21 @@ func (c *Comm) enterColl(op string) {
 // members call collectives in the same order, so the sequence numbers
 // agree across ranks.
 func (c *Comm) nextCollTag() int {
-	tag := maxUserTag + c.collSeq%collTagWindow
+	tag := maxUserTag + c.tagSeq%collTagWindow
+	c.tagSeq++
 	c.collSeq++
 	return tag
 }
+
+// ResetCollTags restarts the communicator's collective tag sequence.
+// Every member must call it at the same point of its collective
+// sequence, with no collective in flight. A mailbox exists per (pair,
+// tag) and is never deleted, so a resident loop calls this at the top
+// of every iteration: each iteration then reuses the previous one's
+// mailboxes instead of minting a fresh set per collective until the
+// tag window wraps. Collectives of consecutive iterations that share a
+// tag are still separated by the per-pair FIFO order.
+func (c *Comm) ResetCollTags() { c.tagSeq = 0 }
 
 // csend and crecv are the collective-internal message primitives; they
 // account traffic to the named collective operation.
@@ -369,8 +382,13 @@ func (c *Comm) Split(color, key int) *Comm {
 		c.w.fail(fmt.Errorf("mpi: rank %d: negative split color %d", c.rank, color))
 	}
 	// Allgather (color, key) pairs so each rank can deterministically
-	// compute every subgroup.
+	// compute every subgroup. A mutated table would build communicators
+	// whose members disagree about membership — corrupt runtime state,
+	// not corrupt data — so the exchange is exempt from message-mutating
+	// faults; crashes, drops and partitions still reach it.
+	c.ctl = true
 	pairs := c.Allgather([]float64{float64(color), float64(key)})
+	c.ctl = false
 	c.splitSeq++
 
 	if color == Undefined {
@@ -585,6 +603,16 @@ func (c *Comm) Shrink() *Comm {
 		// epoch's ctx, which all survivors compute identically.
 		rv: c.w.revocationFor(ctx),
 	}
+}
+
+// Mailboxes returns the number of mailboxes the world has created so
+// far, over all communicators. Mailboxes are never deleted, so a
+// resident loop whose count keeps growing is leaking them (a
+// communicator split or a fresh tag per iteration).
+func (c *Comm) Mailboxes() int {
+	c.w.mu.Lock()
+	defer c.w.mu.Unlock()
+	return len(c.w.boxes)
 }
 
 // RecordAlloc registers sz bytes of live matrix buffers; the runtime

@@ -251,7 +251,7 @@ func newInjector(plan *FaultPlan, rank int) *injector {
 // allreduce, regardless of interleaved traffic). Every matching
 // probabilistic spec consumes one RNG draw whether or not it fires,
 // keeping the stream aligned with the event sequence.
-func (in *injector) match(op string, send bool) int {
+func (in *injector) match(op string, send, ctl bool) int {
 	hit := -1
 	for i := range in.plan.Specs {
 		s := &in.plan.Specs[i]
@@ -266,10 +266,20 @@ func (in *injector) match(op string, send bool) int {
 		// flips never match communication events at all — their
 		// predicates (and RNG draws) belong to the compute stream, so
 		// adding flip specs to a plan cannot perturb when the plan's
-		// communication faults fire.
+		// communication faults fire. Control traffic (see Split) is
+		// never mutated or reordered, and does not consume those
+		// predicates either.
 		switch s.Kind {
-		case FaultCorrupt, FaultDuplicate, FaultReorder, FaultDrop:
+		case FaultCorrupt, FaultDuplicate, FaultReorder:
+			if !send || ctl {
+				continue
+			}
+		case FaultDrop:
 			if !send {
+				continue
+			}
+		case FaultDelay:
+			if ctl {
 				continue
 			}
 		case FaultFlipCompute, FaultFlipMem:
@@ -460,7 +470,7 @@ func (c *Comm) event(op string, key boxKey, env envelope, send bool) []envelope 
 	if in.hasPending && !(send && key == in.pendingKey) {
 		c.flushStash()
 	}
-	si := in.match(op, send)
+	si := in.match(op, send, c.ctl)
 	if si < 0 {
 		return c.releasePending(key, out)
 	}

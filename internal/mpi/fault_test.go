@@ -451,3 +451,60 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 		t.Fatalf("dead rank's checkpoint corrupted: %v", m[1][0].Data)
 	}
 }
+
+// TestSplitExchangeIsControlTraffic: a payload fault aimed at a rank's
+// first message must not land on Split's (color, key) exchange — a
+// mutated table builds communicators whose members disagree about
+// membership — and must still fire on the first data message after it.
+func TestSplitExchangeIsControlTraffic(t *testing.T) {
+	plan := &FaultPlan{Seed: 1, Specs: []FaultSpec{
+		{Kind: FaultCorrupt, Rank: 1, Call: 0, Bit: 62},
+		{Kind: FaultReorder, Rank: 2, Call: 0},
+	}}
+	rep, err := RunOpt(4, Options{Timeout: chaosTimeout, Fault: plan}, func(c *Comm) {
+		sub := c.Split(c.Rank()%2, c.Rank())
+		if sub.Size() != 2 || sub.Rank() != c.Rank()/2 {
+			t.Errorf("rank %d: split group size %d rank %d", c.Rank(), sub.Size(), sub.Rank())
+		}
+		sub.Allgather([]float64{float64(c.Rank())})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.Ranks[1].Injected); n != 1 || rep.Ranks[1].Injected[0].Kind != FaultCorrupt {
+		t.Fatalf("rank 1 injections %+v, want the corruption on its first data message", rep.Ranks[1].Injected)
+	}
+}
+
+// TestRingBlockMismatchIsRecoverable: the ring collectives send their
+// p-1 blocks to one neighbor under one tag, so a delayed message that
+// the next one overtakes shows up as a block of the wrong length when
+// the blocks are uneven. That
+// must surface as a recoverable epoch failure (RecoverComm catches it,
+// it unwraps to ErrRankFailed), not as a misuse abort.
+func TestRingBlockMismatchIsRecoverable(t *testing.T) {
+	plan := &FaultPlan{Seed: 1, Specs: []FaultSpec{
+		{Kind: FaultDelay, Rank: 0, Op: "allgather", Call: 1, Delay: 50 * time.Millisecond},
+	}}
+	var caught atomic.Int32
+	_, err := RunOpt(3, Options{Timeout: chaosTimeout, Fault: plan}, func(c *Comm) {
+		attempt := func() (err error) {
+			defer RecoverComm(&err)
+			c.Allgatherv(make([]float64, 1+c.Rank()), []int{1, 2, 3})
+			return nil
+		}
+		if err := attempt(); err != nil {
+			if !errors.Is(err, ErrRevoked) || !errors.Is(err, ErrRankFailed) {
+				t.Errorf("rank %d: untyped failure %v", c.Rank(), err)
+			}
+			caught.Add(1)
+			c.Revoke()
+		}
+	})
+	if err != nil {
+		t.Fatalf("the mismatch escaped RecoverComm: %v", err)
+	}
+	if caught.Load() == 0 {
+		t.Fatal("the delay did not disturb the ring; the test is not exercising the mismatch")
+	}
+}

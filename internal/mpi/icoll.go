@@ -65,6 +65,7 @@ func (c *Comm) iStart(op string, peers, tags int, body func(*Comm) []float64) *R
 	cc.stats = &Stats{}
 	cc.async = true
 	c.collSeq += tags
+	c.tagSeq += tags
 	w := c.w
 	cp := r.coll
 	w.asyncWG.Add(1)

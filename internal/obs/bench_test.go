@@ -1,32 +1,9 @@
-package trace
+package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
-
-// mutexRecorder is the historical trace.Recorder implementation — one
-// mutex serializing every span close — kept here as the benchmark
-// baseline the sharded recorder is measured against.
-type mutexRecorder struct {
-	epoch  time.Time
-	mu     sync.Mutex
-	shards map[int][]Span
-}
-
-func (r *mutexRecorder) begin(rank int, name string) func() {
-	start := time.Since(r.epoch)
-	return func() {
-		end := time.Since(r.epoch)
-		r.mu.Lock()
-		r.shards[rank] = append(r.shards[rank], Span{Rank: rank, Name: name, Start: start, End: end})
-		r.mu.Unlock()
-	}
-}
 
 // BenchmarkRecorderBegin measures a Begin/end pair per op with every
 // goroutine recording on its own rank — the actual contention pattern
@@ -41,26 +18,6 @@ func BenchmarkRecorderBegin(b *testing.B) {
 			r.Begin(rank, "work")()
 			if n++; n%(1<<16) == 0 {
 				r.ResetRank(rank) // bound memory; owner-only, allowed
-			}
-		}
-	})
-}
-
-// BenchmarkRecorderBeginMutex is the old single-mutex design on the
-// same workload; the gap versus BenchmarkRecorderBegin is the
-// cross-rank contention the sharded recorder removes.
-func BenchmarkRecorderBeginMutex(b *testing.B) {
-	r := &mutexRecorder{epoch: time.Now(), shards: make(map[int][]Span)}
-	var next atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		rank := int(next.Add(1) - 1)
-		n := 0
-		for pb.Next() {
-			r.begin(rank, "work")()
-			if n++; n%(1<<16) == 0 {
-				r.mu.Lock()
-				r.shards[rank] = r.shards[rank][:0]
-				r.mu.Unlock()
 			}
 		}
 	})
@@ -83,7 +40,7 @@ func BenchmarkCausalEdgeDisabled(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.EdgeAt(0, obs.Edge{Rank: 0, Dir: obs.EdgeSend, Peer: 1, Op: "p2p", Src: 0, Seq: uint64(i), TS: 1})
+		r.EdgeAt(0, Edge{Rank: 0, Dir: EdgeSend, Peer: 1, Op: "p2p", Src: 0, Seq: uint64(i), TS: 1})
 		r.CommSpanTagged(0, "p2p", "", 0, 0, 8, 8, 1, 1)
 	}
 }

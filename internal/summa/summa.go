@@ -42,10 +42,6 @@ type Config struct {
 	// be in flight ahead of the one being computed. Zero means 1 (the
 	// classic double buffer).
 	Prefetch int
-	// ABFT guards every panel's GEMM accumulation with Huang–Abraham
-	// checksums (verify per panel step, correct in place, recompute
-	// the tile locally otherwise).
-	ABFT abft.Options
 }
 
 // Timings splits the wall time into broadcast communication and local
@@ -78,9 +74,14 @@ func (cfg Config) CBlock(row, col int) (r0, c0, rows, cols int) {
 }
 
 // Multiply runs SUMMA. The communicator must have exactly Pr*Pc ranks
-// in row-major grid order; a and b are the caller's blocks per ABlock
-// and BBlock. Returns the caller's C block.
-func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
+// in row-major grid order; rowComm and colComm are the caller's process
+// row (ordered by column) and process column (ordered by row) within
+// it, for the panel broadcasts — split once by the caller, not per
+// call. a and b are the caller's blocks per ABlock and BBlock. Returns
+// the caller's C block, drawn from ar (nil = plain allocation) so the
+// caller may Put it back. g guards every panel's GEMM accumulation with
+// Huang–Abraham checksums (nil = no guard).
+func Multiply(c, rowComm, colComm *mpi.Comm, g *abft.Guard, a, b *mat.Dense, cfg Config, ar *mat.Arena) (*mat.Dense, Timings) {
 	var tm Timings
 	if c.Size() != cfg.Pr*cfg.Pc {
 		panic(fmt.Sprintf("summa: communicator size %d != %dx%d", c.Size(), cfg.Pr, cfg.Pc))
@@ -95,13 +96,7 @@ func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
 		panic(fmt.Sprintf("summa: B block %dx%d, want %dx%d", b.Rows, b.Cols, bRows, bCols))
 	}
 	_, _, cRows, cCols := cfg.CBlock(row, col)
-	cLoc := mat.New(cRows, cCols)
-	g := abft.New(cfg.ABFT, c)
-	defer g.Finish()
-
-	// Row and column communicators for the panel broadcasts.
-	rowComm := c.Split(row, col)
-	colComm := c.Split(col, row)
+	cLoc := ar.Get(cRows, cCols)
 
 	aLo, _ := dist.BlockRange(cfg.K, cfg.Pc, col) // my A block's k offset
 	bLo, _ := dist.BlockRange(cfg.K, cfg.Pr, row) // my B block's k offset

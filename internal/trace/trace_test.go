@@ -1,3 +1,7 @@
+// Package trace holds the span-timeline tests of the observability
+// recorder. The package they were written against — an alias shim over
+// internal/obs — is gone; the tests stay at this import path so their
+// names in the suite do not change, and exercise obs.Recorder directly.
 package trace
 
 import (
@@ -6,10 +10,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestRecorderSpans(t *testing.T) {
-	r := NewRecorder()
+	r := obs.NewRecorder()
 	end := r.Begin(0, "stage-a")
 	time.Sleep(time.Millisecond)
 	end()
@@ -28,13 +34,13 @@ func TestRecorderSpans(t *testing.T) {
 }
 
 func TestNilRecorderIsNoop(t *testing.T) {
-	var r *Recorder
+	var r *obs.Recorder
 	end := r.Begin(0, "x") // must not panic
 	end()
 }
 
 func TestSpansSorted(t *testing.T) {
-	r := NewRecorder()
+	r := obs.NewRecorder()
 	r.Begin(2, "later")()
 	r.Begin(0, "first")()
 	r.Begin(1, "mid")()
@@ -47,7 +53,7 @@ func TestSpansSorted(t *testing.T) {
 }
 
 func TestStageTotals(t *testing.T) {
-	r := NewRecorder()
+	r := obs.NewRecorder()
 	for i := 0; i < 3; i++ {
 		end := r.Begin(i, "gemm")
 		end()
@@ -62,7 +68,7 @@ func TestStageTotals(t *testing.T) {
 }
 
 func TestWriteChrome(t *testing.T) {
-	r := NewRecorder()
+	r := obs.NewRecorder()
 	r.Begin(0, "alpha")()
 	r.Begin(3, "beta")()
 	var buf bytes.Buffer
@@ -82,7 +88,7 @@ func TestWriteChrome(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	r := NewRecorder()
+	r := obs.NewRecorder()
 	end := r.Begin(0, "big")
 	time.Sleep(2 * time.Millisecond)
 	end()
@@ -98,7 +104,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	r := NewRecorder()
+	r := obs.NewRecorder()
 	done := make(chan struct{})
 	for rank := 0; rank < 8; rank++ {
 		go func(rank int) {

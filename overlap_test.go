@@ -64,7 +64,7 @@ func TestOverlapBitIdenticalAllAlgorithms(t *testing.T) {
 
 func TestOverlapBitIdenticalWithReplication(t *testing.T) {
 	// Force a grid with c = Crep > 1 so the Iallgatherv-overlapped
-	// replication path of executeCannon runs, and with pk > 1 so the
+	// replication path of the executor runs, and with pk > 1 so the
 	// reduce-scatter follows an overlapped Cannon stage.
 	a := Random(48, 8, 7)
 	b := Random(8, 8, 9)
